@@ -90,39 +90,42 @@ func parseFleet(s string) ([]obs.FleetNode, error) {
 	return nodes, nil
 }
 
+// The binary's whole flag surface. README.md's flag table documents every
+// one of these, and TestFlagsMatchREADME keeps the two in step.
+var (
+	addr            = flag.String("addr", "127.0.0.1:7700", "TCP listen address")
+	udpAddr         = flag.String("udp", "", "optional UDP listen address (e.g. :7701)")
+	size            = flag.String("size", "256MiB", "device size (e.g. 64MiB, 1GiB)")
+	file            = flag.String("file", "", "optional backing file (default: in-memory)")
+	cores           = flag.Int("cores", 2, "shared-nothing event-loop cores")
+	tokenRate       = flag.Int64("token-rate", 420_000, "token rate (tokens/s) at the strictest SLO")
+	writeCost       = flag.Int64("write-cost", 10, "write cost in tokens (device calibration)")
+	readLat         = flag.Duration("read-latency", 0, "simulated device read latency (demos)")
+	writeLat        = flag.Duration("write-latency", 0, "simulated device write latency (demos)")
+	metricsAddr     = flag.String("metrics-addr", "", "HTTP telemetry address serving /metrics (Prometheus), /snapshot, /slow, /traces, /debug/vars, /debug/pprof (e.g. :9090)")
+	sampleEvery     = flag.Duration("sample-interval", time.Second, "SLO time-series sampling period")
+	sampleCSV       = flag.String("sample-csv", "", "write the sampled time series to this CSV file on shutdown")
+	chaos           = flag.Bool("chaos", false, "inject faults on every accepted connection and on the device path (soak testing)")
+	chaosSeed       = flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (reproducible chaos runs)")
+	volumes         = flag.String("volumes", "", "reserve this much of the device for thin-provisioned volumes (e.g. 64MiB; empty = volume layer off; manage with reflex-cli vol)")
+	volExtent       = flag.Int("volume-extent", 0, "volume extent size in 512B blocks (0 = default 128 = 64KiB)")
+	cacheMB         = flag.Int64("cache-mb", 0, "DRAM read-cache size in MiB (0 = no cache)")
+	cacheAdmit      = flag.String("cache-admit", "cost", "read-cache admission policy: cost (cost-model hurdle) or always")
+	idleTimeout     = flag.Duration("idle-timeout", 0, "reap connections idle longer than this (0 = default 2m, negative = never)")
+	connLimit       = flag.Int("conn-limit", 0, "shed best-effort work while connections exceed this (0 = unlimited)")
+	backupOf        = flag.String("backup-of", "", "run as replication backup of the primary at this address (refuses client writes until promoted)")
+	epoch           = flag.Uint("epoch", 0, "initial cluster epoch (0 = standalone; replicated pairs start at 1)")
+	nodeName        = flag.String("node-name", "", "cluster node name (enables shard-map enforcement and names this node's trace spans)")
+	fleet           = flag.String("fleet", "", "comma-separated name=snapshot-URL pairs to aggregate at /cluster (e.g. node0=http://10.0.0.1:9090/snapshot,node1=...)")
+	coordinator     = flag.String("coordinator", "", "run a control-plane replica listening on this address (elects a leader among -ctrl-peers; the leader drives the shard map)")
+	ctrlPeers       = flag.String("ctrl-peers", "", "comma-separated control-plane replica set, including -coordinator (default: just this replica)")
+	ctrlNodes       = flag.String("ctrl-nodes", "", "comma-separated name=addr data-plane nodes the coordinator places shards on (required with -coordinator)")
+	ctrlShards      = flag.Int("ctrl-shards", 16, "shard count for the coordinator's placement map")
+	ctrlShardBlocks = flag.Int64("ctrl-shard-blocks", 4096, "blocks per shard in the placement map")
+	ctrlLease       = flag.Duration("ctrl-lease", time.Second, "control-plane leader lease TTL (elections re-run within ~2x this on leader death)")
+)
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7700", "TCP listen address")
-	udpAddr := flag.String("udp", "", "optional UDP listen address (e.g. :7701)")
-	size := flag.String("size", "256MiB", "device size (e.g. 64MiB, 1GiB)")
-	file := flag.String("file", "", "optional backing file (default: in-memory)")
-	cores := flag.Int("cores", 0, "shared-nothing event-loop cores (0 = use -threads)")
-	threads := flag.Int("threads", 2, "deprecated alias of -cores")
-	busyPoll := flag.Duration("busy-poll", 0, "spin each core this long before parking (lower wakeup latency, higher CPU; 0 = park immediately)")
-	tokenRate := flag.Int64("token-rate", 420_000, "token rate (tokens/s) at the strictest SLO")
-	writeCost := flag.Int64("write-cost", 10, "write cost in tokens (device calibration)")
-	readLat := flag.Duration("read-latency", 0, "simulated device read latency (demos)")
-	writeLat := flag.Duration("write-latency", 0, "simulated device write latency (demos)")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP telemetry address serving /metrics (Prometheus), /snapshot, /slow, /traces, /debug/vars, /debug/pprof (e.g. :9090)")
-	sampleEvery := flag.Duration("sample-interval", time.Second, "SLO time-series sampling period")
-	sampleCSV := flag.String("sample-csv", "", "write the sampled time series to this CSV file on shutdown")
-	chaos := flag.Bool("chaos", false, "inject faults on every accepted connection and on the device path (soak testing)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (reproducible chaos runs)")
-	volumes := flag.String("volumes", "", "reserve this much of the device for thin-provisioned volumes (e.g. 64MiB; empty = volume layer off; manage with reflex-cli vol)")
-	volExtent := flag.Int("volume-extent", 0, "volume extent size in 512B blocks (0 = default 128 = 64KiB)")
-	cacheMB := flag.Int64("cache-mb", 0, "DRAM read-cache size in MiB (0 = no cache)")
-	cacheAdmit := flag.String("cache-admit", "cost", "read-cache admission policy: cost (cost-model hurdle) or always")
-	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections idle longer than this (0 = default 2m, negative = never)")
-	connLimit := flag.Int("conn-limit", 0, "shed best-effort work while connections exceed this (0 = unlimited)")
-	backupOf := flag.String("backup-of", "", "run as replication backup of the primary at this address (refuses client writes until promoted)")
-	epoch := flag.Uint("epoch", 0, "initial cluster epoch (0 = standalone; replicated pairs start at 1)")
-	nodeName := flag.String("node-name", "", "cluster node name (enables shard-map enforcement and names this node's trace spans)")
-	fleet := flag.String("fleet", "", "comma-separated name=snapshot-URL pairs to aggregate at /cluster (e.g. node0=http://10.0.0.1:9090/snapshot,node1=...)")
-	coordinator := flag.String("coordinator", "", "run a control-plane replica listening on this address (elects a leader among -ctrl-peers; the leader drives the shard map)")
-	ctrlPeers := flag.String("ctrl-peers", "", "comma-separated control-plane replica set, including -coordinator (default: just this replica)")
-	ctrlNodes := flag.String("ctrl-nodes", "", "comma-separated name=addr data-plane nodes the coordinator places shards on (required with -coordinator)")
-	ctrlShards := flag.Int("ctrl-shards", 16, "shard count for the coordinator's placement map")
-	ctrlShardBlocks := flag.Int64("ctrl-shard-blocks", 4096, "blocks per shard in the placement map")
-	ctrlLease := flag.Duration("ctrl-lease", time.Second, "control-plane leader lease TTL (elections re-run within ~2x this on leader death)")
 	flag.Parse()
 
 	bytes, err := parseSize(*size)
@@ -154,8 +157,6 @@ func main() {
 		Addr:       *addr,
 		UDPAddr:    *udpAddr,
 		Cores:      *cores,
-		Threads:    *threads,
-		BusyPoll:   *busyPoll,
 		Epoch:      uint16(*epoch),
 		BackupRole: *backupOf != "",
 		NodeName:   *nodeName,

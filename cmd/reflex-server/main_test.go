@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
 
 func TestParseSize(t *testing.T) {
 	cases := []struct {
@@ -30,5 +36,31 @@ func TestParseSize(t *testing.T) {
 		if _, err := parseSize(bad); err == nil {
 			t.Errorf("parseSize(%q) did not fail", bad)
 		}
+	}
+}
+
+// TestFlagsMatchREADME: every flag the binary registers has a row in
+// README.md's flag table and every row names a registered flag, so the
+// documented surface cannot drift from the real one.
+func TestFlagsMatchREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)").FindAllSubmatch(readme, -1) {
+		documented[string(m[1])] = true
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // the test binary's own flags
+		}
+		if !documented[f.Name] {
+			t.Errorf("flag -%s has no row in README.md's flag table", f.Name)
+		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("README.md documents -%s, which reflex-server does not register", name)
 	}
 }

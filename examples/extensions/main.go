@@ -28,7 +28,7 @@ func main() {
 	srv, err := server.NewMulti(server.Config{
 		Addr:         "127.0.0.1:0",
 		UDPAddr:      "127.0.0.1:0",
-		Threads:      2,
+		Cores:        2,
 		WriteLatency: 5 * time.Millisecond, // visible device latency for the barrier demo
 	}, []server.DeviceConfig{
 		{

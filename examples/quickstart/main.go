@@ -20,8 +20,8 @@ func main() {
 	//    threads, device-A cost model, 420K tokens/s (the rate a 500us
 	//    p95 SLO allows on that device).
 	srv, err := server.New(server.Config{
-		Addr:    "127.0.0.1:0",
-		Threads: 2,
+		Addr:  "127.0.0.1:0",
+		Cores: 2,
 		Model: core.CostModel{
 			ReadCost:         core.TokenUnit,
 			ReadOnlyReadCost: core.TokenUnit / 2,

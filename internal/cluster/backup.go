@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -204,6 +205,11 @@ func (b *Backup) session() error {
 		}
 		if msg.Header.Opcode != protocol.OpReplicate || msg.Header.IsResponse() {
 			bufpool.ReleaseIf(lease)
+			if msg.Header.Opcode == protocol.OpJoin && !msg.Header.IsResponse() && msg.Header.Status != protocol.StatusOK {
+				// The primary's abort marker: its catch-up died and it
+				// detached us. Rejoin (the loop's backoff) for a fresh one.
+				return errors.New("cluster: catch-up aborted by primary: " + msg.Header.Status.String())
+			}
 			continue // tolerate anything else on the channel
 		}
 		var st protocol.Status

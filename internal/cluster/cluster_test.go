@@ -142,7 +142,10 @@ func TestRangedForwardClipsToWindow(t *testing.T) {
 		{lba: 99, blocks: 12, wantLBA: 100, wantBlk: 10, wantFirst: 1, forwarded: true}, // spans the whole window
 		{lba: 103, blocks: 2, wantLBA: 103, wantBlk: 2, wantFirst: 0, forwarded: true},  // fully inside, untouched
 	}
-	sentBefore := 0
+	// The (empty) catch-up's marker is the first frame; let it land so the
+	// counts below see forwards only.
+	eventually(t, "the catch-up marker", func() bool { return len(fs.sent()) == 1 })
+	sentBefore := 1
 	for i, tc := range cases {
 		fwd := r.Forward(tc.lba, mk(tc.blocks, 0), nil, 0, 0, func(protocol.Status) {})
 		if fwd != tc.forwarded {

@@ -16,8 +16,10 @@
 //   - The primary defers each client write ack until the backup acks the
 //     replicated copy, so every acked write survives a primary kill.
 //   - On (re)join the primary streams a catch-up of the device behind the
-//     live write stream; chunk reads and sends are serialized with live
-//     forwards so a stale chunk can never overwrite a newer write.
+//     live write stream (the shipper in shipper.go); chunk reads and sends
+//     are serialized with live forwards so a stale chunk can never overwrite
+//     a newer write. A catch-up that cannot finish says so with a non-OK
+//     marker and detaches, and the backup rejoins.
 //   - Epochs fence a deposed primary: a backup whose epoch moved past the
 //     sender's acks with StatusStaleEpoch, and the old primary stops
 //     accepting writes.
@@ -61,7 +63,8 @@ type ReplicatorConfig struct {
 	OnForward func()
 	OnAck     func()
 	OnCatchup func(bytes int)
-	// ChunkBytes sizes catch-up chunks (default 256 KiB).
+	// ChunkBytes sizes catch-up chunks (default 256 KiB, clamped to
+	// protocol.MaxPayload).
 	ChunkBytes int
 }
 
@@ -72,8 +75,7 @@ type ReplicatorConfig struct {
 type Replicator struct {
 	cfg ReplicatorConfig
 
-	mu   sync.Mutex
-	sess *session
+	sess atomic.Pointer[session]
 
 	cookie atomic.Uint64
 
@@ -100,19 +102,15 @@ type session struct {
 	// forward and overwrite it on the backup.
 	sendMu sync.Mutex
 
-	pmu     sync.Mutex
-	pending map[uint64]func(protocol.Status)
-	closed  bool
+	// acks holds live forwards and catch-up chunks awaiting the backup.
+	acks *pendingAcks
 
 	caughtUp atomic.Bool
-	stop     chan struct{}
 }
 
 // NewReplicator builds a primary-side replicator.
 func NewReplicator(cfg ReplicatorConfig) *Replicator {
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
-	}
+	cfg.ChunkBytes = chunkBytes(cfg.ChunkBytes)
 	return &Replicator{cfg: cfg}
 }
 
@@ -133,12 +131,7 @@ func (r *Replicator) Acked() uint64 {
 // Live reports whether a backup session is attached (forwards are
 // happening). The backup may still be catching up; see CaughtUp.
 func (r *Replicator) Live() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sess != nil
+	return r != nil && r.sess.Load() != nil
 }
 
 // CaughtUp reports whether the attached backup has received the full
@@ -148,16 +141,16 @@ func (r *Replicator) CaughtUp() bool {
 	if r == nil {
 		return false
 	}
-	r.mu.Lock()
-	s := r.sess
-	r.mu.Unlock()
+	s := r.sess.Load()
 	return s != nil && s.caughtUp.Load()
 }
 
 // Attach installs sender as the backup session, superseding any previous
 // one (whose pending forwards complete with detachStatus semantics, see
 // Detach), and starts the catch-up stream. Returns the session token used
-// to detach exactly this session later.
+// to detach exactly this session later; the token also offers
+// HandleAck(*protocol.Header) and Close() for the connection that carries
+// the session, so its acks and its teardown reach this session and no other.
 func (r *Replicator) Attach(sender ReplicaSender) any {
 	return r.AttachRange(sender, 0, 0)
 }
@@ -178,14 +171,9 @@ func (r *Replicator) AttachRange(sender ReplicaSender, firstLBA, blockCount uint
 		sender:      sender,
 		rangeStart:  firstLBA,
 		rangeBlocks: blockCount,
-		pending:     make(map[uint64]func(protocol.Status)),
-		stop:        make(chan struct{}),
+		acks:        newPendingAcks(),
 	}
-	r.mu.Lock()
-	old := r.sess
-	r.sess = s
-	r.mu.Unlock()
-	if old != nil {
+	if old := r.sess.Swap(s); old != nil {
 		old.close(protocol.StatusOK)
 	}
 	go s.catchup()
@@ -205,28 +193,14 @@ func (r *Replicator) Detach(token any, st protocol.Status) {
 	if !ok {
 		return
 	}
-	r.mu.Lock()
-	if r.sess == s {
-		r.sess = nil
-	}
-	r.mu.Unlock()
+	r.sess.CompareAndSwap(s, nil)
 	s.close(st)
 }
 
 // close fails every pending forward with st and stops the catch-up
 // stream. Idempotent.
 func (s *session) close(st protocol.Status) {
-	s.pmu.Lock()
-	if s.closed {
-		s.pmu.Unlock()
-		return
-	}
-	s.closed = true
-	pending := s.pending
-	s.pending = nil
-	close(s.stop)
-	s.pmu.Unlock()
-	for _, done := range pending {
+	for _, done := range s.acks.close() {
 		done(st)
 	}
 }
@@ -254,9 +228,7 @@ func (r *Replicator) Forward(lba uint32, payload []byte, lease *bufpool.Buf, tra
 	if r == nil {
 		return false
 	}
-	r.mu.Lock()
-	s := r.sess
-	r.mu.Unlock()
+	s := r.sess.Load()
 	if s == nil {
 		return false
 	}
@@ -265,13 +237,9 @@ func (r *Replicator) Forward(lba uint32, payload []byte, lease *bufpool.Buf, tra
 		return false
 	}
 	cookie := r.cookie.Add(1)
-	s.pmu.Lock()
-	if s.closed {
-		s.pmu.Unlock()
+	if !s.acks.add(cookie, done) {
 		return false
 	}
-	s.pending[cookie] = done
-	s.pmu.Unlock()
 
 	hdr := protocol.Header{
 		Opcode: protocol.OpReplicate,
@@ -346,15 +314,11 @@ func (r *Replicator) Pending() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	s := r.sess
-	r.mu.Unlock()
+	s := r.sess.Load()
 	if s == nil {
 		return 0
 	}
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	return len(s.pending)
+	return s.acks.len()
 }
 
 // HandleAck completes the pending forward matching a replication ack read
@@ -365,127 +329,78 @@ func (r *Replicator) HandleAck(hdr *protocol.Header) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	s := r.sess
-	r.mu.Unlock()
-	if s == nil {
-		return
+	if s := r.sess.Load(); s != nil {
+		s.HandleAck(hdr)
 	}
-	s.pmu.Lock()
-	done, ok := s.pending[hdr.Cookie]
-	if ok {
-		delete(s.pending, hdr.Cookie)
+}
+
+// HandleAck is Replicator.HandleAck for an ack read off this session's own
+// connection: it can only complete a frame this session sent.
+func (s *session) HandleAck(hdr *protocol.Header) {
+	r := s.r
+	done := s.acks.take(hdr.Cookie)
+	if hdr.Status == protocol.StatusStaleEpoch {
+		// Fence and close before completing the frame: when it is a
+		// catch-up chunk, its shipper must find the session already closed
+		// stale and not announce an abort of its own.
+		if r.cfg.OnStale != nil {
+			r.cfg.OnStale(hdr.Epoch)
+		}
+		r.Detach(s, protocol.StatusStaleEpoch)
 	}
-	s.pmu.Unlock()
-	if ok {
+	if done != nil {
 		r.acked.Add(1)
 		if r.cfg.OnAck != nil {
 			r.cfg.OnAck()
 		}
 		done(hdr.Status)
 	}
-	if hdr.Status == protocol.StatusStaleEpoch {
-		if r.cfg.OnStale != nil {
-			r.cfg.OnStale(hdr.Epoch)
-		}
-		r.Detach(s, protocol.StatusStaleEpoch)
-	}
 }
 
-// catchup streams the device to the backup in chunks, serialized against
-// live forwards, each chunk acked before the next is read (self-pacing:
-// the stream never gets ahead of what the backup applied, and live
-// forwards interleave freely between chunks).
+// Close detaches the session because its connection died: pending
+// forwards degrade to standalone acks (see Detach).
+func (s *session) Close() { s.r.Detach(s, protocol.StatusOK) }
+
+// catchup ships the session's window of the device behind the live write
+// stream, then the completion marker on ranged sessions: a non-response
+// OpJoin frame echoing the window, which the sink reads as "every block of
+// the shard is now on my device except what the live forward stream will
+// still deliver" — the coordinator's green light for the epoch-fenced
+// cutover. Unranged (classic backup) sessions end silently, preserving the
+// original join protocol. A catch-up that dies while the backup is still
+// connected (backend read error, refused chunk) sends the marker with a
+// non-OK Status and detaches, so Live/CaughtUp stop claiming a backup that
+// will never be whole and the receiver rejoins instead of waiting.
 func (s *session) catchup() {
 	r := s.r
-	if r.cfg.Backend == nil {
-		s.caughtUp.Store(true)
-		s.sendMarker()
-		return
-	}
-	size := r.cfg.Backend.Size()
-	start := int64(0)
-	if s.rangeBlocks != 0 {
-		start = int64(s.rangeStart) * protocol.BlockSize
-		if end := start + int64(s.rangeBlocks)*protocol.BlockSize; end < size {
-			size = end
+	var ranges []StreamRange
+	if r.cfg.Backend != nil {
+		start, end := int64(0), r.cfg.Backend.Size()
+		if s.rangeBlocks != 0 {
+			start = int64(s.rangeStart) * protocol.BlockSize
+			end = min(end, start+int64(s.rangeBlocks)*protocol.BlockSize)
 		}
+		ranges = []StreamRange{{Off: start, Len: end - start}}
 	}
-	chunk := int64(r.cfg.ChunkBytes)
-	buf := make([]byte, chunk)
-	for off := start; off < size; off += chunk {
-		n := chunk
-		if off+n > size {
-			n = size - off
-		}
-		ackCh := make(chan protocol.Status, 1)
-		cookie := r.cookie.Add(1)
-		s.pmu.Lock()
-		if s.closed {
-			s.pmu.Unlock()
-			return
-		}
-		s.pending[cookie] = func(st protocol.Status) { ackCh <- st }
-		s.pmu.Unlock()
-
-		// Read and send under sendMu: a live forward either lands before
-		// this chunk's read (the chunk carries it) or after its send (the
-		// backup applies it on top). Either order is correct.
-		s.sendMu.Lock()
-		if _, err := r.cfg.Backend.ReadAt(buf[:n], off); err != nil {
-			s.sendMu.Unlock()
-			s.close(protocol.StatusOK)
-			return
-		}
-		hdr := protocol.Header{
-			Opcode: protocol.OpReplicate,
-			Epoch:  r.cfg.Epoch(),
-			Cookie: cookie,
-			LBA:    uint32(off / protocol.BlockSize),
-			Count:  uint32(n),
-		}
-		s.sender.SendToReplica(&hdr, buf[:n], nil)
-		s.sendMu.Unlock()
-
-		select {
-		case st := <-ackCh:
-			if st != protocol.StatusOK {
-				return // deposed or backup refused; session is closing
-			}
-			if r.cfg.OnCatchup != nil {
-				r.cfg.OnCatchup(int(n))
-			}
-		case <-s.stop:
-			return
-		}
+	sh := shipper{
+		sender: s.sender,
+		acks:   s.acks,
+		cookie: &r.cookie,
+		epoch:  r.cfg.Epoch,
+		readAt: func(p []byte, off int64) error {
+			_, err := r.cfg.Backend.ReadAt(p, off)
+			return err
+		},
+		lock:       &s.sendMu,
+		chunkOp:    protocol.OpReplicate,
+		marker:     protocol.Header{Opcode: protocol.OpJoin, LBA: s.rangeStart, Count: s.rangeBlocks},
+		okMarker:   s.rangeBlocks != 0,
+		chunkBytes: r.cfg.ChunkBytes,
+		onChunk:    r.cfg.OnCatchup,
 	}
-	s.caughtUp.Store(true)
-	s.sendMarker()
-}
-
-// sendMarker emits the catch-up-complete marker on ranged sessions: a
-// non-response OpJoin frame echoing the window. The sink treats it as
-// "every block of the shard is now on my device except what the live
-// forward stream will still deliver" — the coordinator's green light for
-// the epoch-fenced cutover. Unranged (classic backup) sessions send
-// nothing, preserving the original join protocol.
-func (s *session) sendMarker() {
-	if s.rangeBlocks == 0 {
-		return
+	shipped := sh.ship(ranges)
+	s.caughtUp.Store(shipped)
+	if !sh.finish(shipped) {
+		s.Close()
 	}
-	s.pmu.Lock()
-	closed := s.closed
-	s.pmu.Unlock()
-	if closed {
-		return
-	}
-	hdr := protocol.Header{
-		Opcode: protocol.OpJoin,
-		Epoch:  s.r.cfg.Epoch(),
-		LBA:    s.rangeStart,
-		Count:  s.rangeBlocks,
-	}
-	s.sendMu.Lock()
-	s.sender.SendToReplica(&hdr, nil, nil)
-	s.sendMu.Unlock()
 }

@@ -1,28 +1,15 @@
-// Diff streams: the OpJoin self-paced catch-up machinery generalized to
-// arbitrary byte ranges, used by OpVolStream to ship a snapshot diff
-// (DESIGN.md §18) to a backup/restore receiver. The shape is identical to
-// session.catchup — chunked reads sent one-at-a-time, each waiting for
-// the receiver's ack before the next read, ending with a zero-length
-// marker frame — but the source is a volume generation image instead of
-// the raw device, and the ranges are the diff's extents instead of the
-// whole LBA space. Because every chunk waits out a full round trip, the
-// stream is self-paced: it can never build a queue in front of
-// latency-critical traffic, which is what keeps it best-effort without
-// touching the QoS scheduler.
+// Diff streams: OpVolStream ships a snapshot diff (DESIGN.md §18) to a
+// backup/restore receiver with the package's one shipper (shipper.go). The
+// source is a volume generation image instead of the raw device, the ranges
+// are the diff's extents, and no live traffic shares the connection, so the
+// shipper runs with no send lock and a cookie counter of its own.
 package cluster
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"github.com/reflex-go/reflex/internal/protocol"
 )
-
-// StreamRange is one contiguous byte range to ship.
-type StreamRange struct {
-	Off int64 // byte offset in the stream's logical space (block-aligned)
-	Len int64
-}
 
 // StreamConfig configures a diff stream.
 type StreamConfig struct {
@@ -52,28 +39,35 @@ type StreamConfig struct {
 
 // Stream ships a fixed list of ranges, self-paced by receiver acks.
 type Stream struct {
-	cfg    StreamConfig
-	cookie atomic.Uint64
+	sh     shipper
+	onDone func(complete bool)
 
-	pmu     sync.Mutex
-	pending map[uint64]func(protocol.Status)
-	closed  bool
-
-	stop chan struct{}
 	done atomic.Bool
 	sent atomic.Uint64 // bytes acked so far
 }
 
 // NewStream builds a stream; Run starts shipping.
 func NewStream(cfg StreamConfig) *Stream {
-	if cfg.ChunkBytes <= 0 || cfg.ChunkBytes > protocol.MaxPayload {
-		cfg.ChunkBytes = 256 << 10
+	s := &Stream{onDone: cfg.OnDone}
+	s.sh = shipper{
+		sender:     cfg.Sender,
+		acks:       newPendingAcks(),
+		cookie:     new(atomic.Uint64),
+		epoch:      cfg.Epoch,
+		readAt:     cfg.ReadAt,
+		lock:       noLock{},
+		chunkOp:    cfg.Op,
+		marker:     protocol.Header{Opcode: cfg.Op, Handle: cfg.Handle},
+		okMarker:   true,
+		chunkBytes: chunkBytes(cfg.ChunkBytes),
+		onChunk: func(n int) {
+			s.sent.Add(uint64(n))
+			if cfg.OnChunk != nil {
+				cfg.OnChunk(n)
+			}
+		},
 	}
-	return &Stream{
-		cfg:     cfg,
-		pending: make(map[uint64]func(protocol.Status)),
-		stop:    make(chan struct{}),
-	}
+	return s
 }
 
 // SentBytes reports acked stream progress.
@@ -83,129 +77,28 @@ func (s *Stream) SentBytes() uint64 { return s.sent.Load() }
 func (s *Stream) Done() bool { return s.done.Load() }
 
 // Close tears the stream down (receiver connection died). Idempotent.
-func (s *Stream) Close() {
-	s.pmu.Lock()
-	if s.closed {
-		s.pmu.Unlock()
-		return
-	}
-	s.closed = true
-	s.pending = nil
-	s.pmu.Unlock()
-	close(s.stop)
-}
+func (s *Stream) Close() { s.sh.acks.close() }
 
-// HandleAck routes a receiver ack (a FlagResponse frame of the stream's
-// opcode) to the chunk waiting on it.
+// HandleAck routes a receiver ack (a FlagResponse frame read off the
+// stream's connection) to the chunk waiting on it.
 func (s *Stream) HandleAck(hdr *protocol.Header) {
-	s.pmu.Lock()
-	cb := s.pending[hdr.Cookie]
-	if cb != nil {
-		delete(s.pending, hdr.Cookie)
-	}
-	s.pmu.Unlock()
-	if cb != nil {
-		cb(protocol.Status(hdr.Status))
+	if done := s.sh.acks.take(hdr.Cookie); done != nil {
+		done(hdr.Status)
 	}
 }
 
-// Run ships every range in order, one chunk in flight at a time, then the
-// end marker (a non-response frame with Len == 0 and Count == 0 — the
-// OpJoin marker shape). If the stream dies while the receiver is still
-// connected (source read error, refused ack), a marker with a non-OK
-// Status is sent instead so the receiver fails fast rather than blocking
-// forever on chunks that will never come. Blocks until complete or
-// Closed; call from a dedicated goroutine.
+// Run ships every range in order, then the end marker (a non-response
+// frame with Len == 0 and Count == 0), StatusOK if every chunk was acked
+// and non-OK if the stream died while the receiver is still connected.
+// Done is published before the marker hits the wire, so by the time the
+// receiver reads it the sender side already counts as finished (a
+// back-to-back stream request on the same connection must not see a busy
+// slot). Blocks until complete or Closed; call from a dedicated goroutine.
 func (s *Stream) Run(ranges []StreamRange) {
-	complete := s.run(ranges)
+	shipped := s.sh.ship(ranges)
 	s.done.Store(true)
-	if !complete {
-		s.marker(protocol.StatusError)
+	complete := s.sh.finish(shipped)
+	if s.onDone != nil {
+		s.onDone(complete)
 	}
-	if s.cfg.OnDone != nil {
-		s.cfg.OnDone(complete)
-	}
-}
-
-func (s *Stream) run(ranges []StreamRange) bool {
-	buf := make([]byte, s.cfg.ChunkBytes)
-	for _, rg := range ranges {
-		off, left := rg.Off, rg.Len
-		for left > 0 {
-			n := int64(len(buf))
-			if n > left {
-				n = left
-			}
-			if !s.ship(buf[:n], off) {
-				return false
-			}
-			off += n
-			left -= n
-		}
-	}
-	return s.marker(protocol.StatusOK)
-}
-
-// ship reads one chunk and sends it, waiting for the receiver's ack.
-func (s *Stream) ship(p []byte, off int64) bool {
-	if err := s.cfg.ReadAt(p, off); err != nil {
-		return false
-	}
-	cookie := s.cookie.Add(1)
-	ack := make(chan protocol.Status, 1)
-	s.pmu.Lock()
-	if s.closed {
-		s.pmu.Unlock()
-		return false
-	}
-	s.pending[cookie] = func(st protocol.Status) { ack <- st }
-	s.pmu.Unlock()
-
-	hdr := protocol.Header{
-		Opcode: s.cfg.Op,
-		Handle: s.cfg.Handle,
-		Epoch:  s.cfg.Epoch(),
-		Cookie: cookie,
-		LBA:    uint32(off / protocol.BlockSize),
-		Count:  uint32(len(p)),
-		Len:    uint32(len(p)),
-	}
-	s.cfg.Sender.SendToReplica(&hdr, p, nil)
-	select {
-	case st := <-ack:
-		if st != protocol.StatusOK {
-			return false
-		}
-		s.sent.Add(uint64(len(p)))
-		if s.cfg.OnChunk != nil {
-			s.cfg.OnChunk(len(p))
-		}
-		return true
-	case <-s.stop:
-		return false
-	}
-}
-
-// marker sends the terminal frame — StatusOK for a complete stream,
-// non-OK for an abort; it is not acked. Skipped when the stream was
-// Closed: the connection is gone and the frame would go nowhere. done is
-// published before the frame so that by the time the receiver reads the
-// marker, the sender side already counts as finished (a back-to-back
-// stream request on the same connection must not see a busy slot).
-func (s *Stream) marker(st protocol.Status) bool {
-	s.pmu.Lock()
-	closed := s.closed
-	s.pmu.Unlock()
-	if closed {
-		return false
-	}
-	s.done.Store(true)
-	hdr := protocol.Header{
-		Opcode: s.cfg.Op,
-		Handle: s.cfg.Handle,
-		Epoch:  s.cfg.Epoch(),
-		Status: st,
-	}
-	s.cfg.Sender.SendToReplica(&hdr, nil, nil)
-	return true
 }

@@ -27,8 +27,8 @@ import (
 func soakServer(t *testing.T, name string) *server.Server {
 	t.Helper()
 	srv, err := server.New(server.Config{
-		Addr:    "127.0.0.1:0",
-		Threads: 2,
+		Addr:  "127.0.0.1:0",
+		Cores: 2,
 		Model: core.CostModel{
 			ReadCost:         core.TokenUnit,
 			ReadOnlyReadCost: core.TokenUnit / 2,

@@ -81,7 +81,7 @@ func startFailPair(inj *faults.Injector) (*failPair, error) {
 	mk := func(backend storage.Backend, epoch uint16, backup bool, faultsInj *faults.Injector) (*server.Server, error) {
 		return server.New(server.Config{
 			Addr:       "127.0.0.1:0",
-			Threads:    1,
+			Cores:      1,
 			Epoch:      epoch,
 			BackupRole: backup,
 			Faults:     faultsInj,

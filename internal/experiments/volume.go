@@ -165,8 +165,8 @@ type volSnapOutcome struct {
 func runVolumePhase(doSnap bool, dur time.Duration) volPhase {
 	fail := func(err error) volPhase { return volPhase{err: err} }
 	srv, err := server.New(server.Config{
-		Addr:    "127.0.0.1:0",
-		Threads: 2,
+		Addr:  "127.0.0.1:0",
+		Cores: 2,
 		Model: core.CostModel{
 			ReadCost:         core.TokenUnit,
 			ReadOnlyReadCost: core.TokenUnit / 2,

@@ -177,46 +177,24 @@ func (s *Server) ApplyReplicateTraced(lba uint32, payload []byte, epoch uint16, 
 	return st
 }
 
-// replicaSender adapts a srvConn to cluster.ReplicaSender. The lease (a
+// SendToReplica makes a srvConn a cluster.ReplicaSender. The lease (a
 // reference the replicator retained for the backup-bound copy) transfers
 // to send, which releases it after the flush that carries the frame.
 // Catch-up chunks arrive with a nil lease and a private buffer; their
 // reuse is safe because the catch-up stream is ack-paced — the backup can
 // only ack a chunk the writer goroutine already flushed.
-type replicaSender struct{ sc *srvConn }
-
-func (r replicaSender) SendToReplica(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) {
-	r.sc.send(hdr, payload, lease)
+func (sc *srvConn) SendToReplica(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) {
+	sc.send(hdr, payload, lease)
 }
 
 // joinReplica attaches sc as the backup session (OpJoin) and starts the
 // catch-up stream. Called after the OK handshake response is on the wire,
 // so the backup never mistakes the first catch-up chunk for the response.
+// Acks read off sc reach this session only, and sc's teardown closes it:
+// pending forwards degrade to standalone acks.
 func (s *Server) joinReplica(sc *srvConn) {
-	token := s.repl.Attach(replicaSender{sc: sc})
-	sc.rmu.Lock()
-	sc.replica = token
-	sc.replicaOf = s.repl
-	sc.rmu.Unlock()
+	sc.attach(s.repl.Attach(sc).(attachment))
 	s.m.replJoins.Inc()
-}
-
-// detachReplica is called from connection teardown: if this connection
-// carried the backup (or migration-sink) session, pending forwards
-// degrade to standalone acks on whichever replicator owned it.
-func (sc *srvConn) detachReplica() {
-	sc.rmu.Lock()
-	token := sc.replica
-	owner := sc.replicaOf
-	sc.replica = nil
-	sc.replicaOf = nil
-	sc.rmu.Unlock()
-	if token != nil {
-		if owner == nil {
-			owner = sc.srv.repl
-		}
-		owner.Detach(token, protocol.StatusOK)
-	}
 }
 
 // ReplicaLive reports whether a backup session is currently attached.

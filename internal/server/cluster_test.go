@@ -30,7 +30,7 @@ func startPair(t *testing.T, mutateA func(*Config)) *pair {
 	mk := func(epoch uint16, backup bool, mutate func(*Config)) *Server {
 		cfg := Config{
 			Addr:       "127.0.0.1:0",
-			Threads:    2,
+			Cores:      2,
 			Epoch:      epoch,
 			BackupRole: backup,
 			Model:      modelA(),
@@ -669,4 +669,138 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d acked, %d errored, %d failovers, epoch %d, 0 lost",
 		ackTotal.Load(), errTotal.Load(), cl.Failovers(), cl.Epoch())
+}
+
+// TestStrayAckDropped pins ack routing: a response-flagged OpReplicate
+// frame counts only on the connection that carries the replication
+// session. Cookies are sequential, so a frame guessing the pending
+// forward's cookie with StatusStaleEpoch — sent on a plain client
+// connection or as a UDP datagram — must neither complete that forward nor
+// fence the node; the backup's own ack then completes it normally.
+func TestStrayAckDropped(t *testing.T) {
+	srv, err := New(Config{
+		Addr:      "127.0.0.1:0",
+		UDPAddr:   "127.0.0.1:0",
+		Cores:     1,
+		Epoch:     1,
+		Model:     modelA(),
+		TokenRate: 1_000_000 * core.TokenUnit,
+	}, storage.NewMem(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// A hand-driven backup: join, ack the catch-up, then hand the test the
+	// first live forward without acking it.
+	bk, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bk.Close()
+	bk.SetDeadline(time.Now().Add(10 * time.Second))
+	write := func(c net.Conn, hdr *protocol.Header) {
+		t.Helper()
+		frame, err := protocol.AppendMessage(nil, hdr, nil)
+		if err == nil {
+			_, err = c.Write(frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ackOf := func(fwd *protocol.Header, st protocol.Status, epoch uint16) *protocol.Header {
+		return &protocol.Header{
+			Opcode: protocol.OpReplicate,
+			Flags:  protocol.FlagResponse,
+			Cookie: fwd.Cookie,
+			Epoch:  epoch,
+			LBA:    fwd.LBA,
+			Status: st,
+		}
+	}
+	write(bk, &protocol.Header{Opcode: protocol.OpJoin, Epoch: 1})
+	br := bufio.NewReaderSize(bk, 1<<20)
+	var msg protocol.Message
+	nextForward := func() protocol.Header {
+		t.Helper()
+		for {
+			if err := protocol.ReadMessageInto(br, &msg, nil); err != nil {
+				t.Fatal(err)
+			}
+			if msg.Header.Opcode == protocol.OpReplicate && !msg.Header.IsResponse() {
+				return msg.Header
+			}
+		}
+	}
+	for shipped := uint32(0); shipped < 1<<20; {
+		chunk := nextForward()
+		write(bk, ackOf(&chunk, protocol.StatusOK, 1))
+		shipped += chunk.Count
+	}
+	for deadline := time.Now().Add(5 * time.Second); !srv.ReplicaCaughtUp(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("backup never caught up")
+		}
+	}
+
+	cl, err := client.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	h, err := cl.Register(beWritable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	call, err := cl.GoWrite(h, 8, bytes.Repeat([]byte{0x3C}, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := nextForward()
+
+	// The forged deposition, once per transport, each followed by a ping on
+	// the same channel: its response proves the forgery was dispatched.
+	forged := ackOf(&fwd, protocol.StatusStaleEpoch, 9)
+	ping := &protocol.Header{Opcode: protocol.OpPing, Cookie: 1}
+	plain, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	udp, err := netDialUDP(srv.UDPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	for _, c := range []net.Conn{plain, udp} {
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		write(c, forged)
+		write(c, ping)
+		buf := make([]byte, protocol.HeaderSize)
+		if _, err := c.Read(buf); err != nil {
+			t.Fatalf("ping after forged ack: %v", err)
+		}
+	}
+	select {
+	case <-call.Done:
+		t.Fatalf("forged ack completed the pending forward (err = %v)", call.Err)
+	default:
+	}
+	if srv.IsFenced() || srv.ClusterEpoch() != 1 {
+		t.Fatalf("forged ack fenced the node (fenced=%v epoch=%d)", srv.IsFenced(), srv.ClusterEpoch())
+	}
+	if !srv.ReplicaLive() {
+		t.Fatal("forged ack detached the backup session")
+	}
+
+	write(bk, ackOf(&fwd, protocol.StatusOK, 1))
+	select {
+	case <-call.Done:
+		if call.Err != nil {
+			t.Fatalf("write after the backup's own ack: %v", call.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the backup's own ack did not complete the forward")
+	}
 }

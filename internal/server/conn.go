@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/reflex-go/reflex/internal/bufpool"
-	"github.com/reflex-go/reflex/internal/cluster"
 	"github.com/reflex-go/reflex/internal/core"
 	"github.com/reflex-go/reflex/internal/obs"
 	"github.com/reflex-go/reflex/internal/protocol"
@@ -89,22 +88,42 @@ type srvConn struct {
 	omu   sync.Mutex
 	owned map[uint16]struct{}
 
-	// replica is the cluster replication session token while this
-	// connection is the backup's (or a migration sink's) join channel,
-	// nil otherwise; replicaOf is the replicator owning that session
-	// (s.repl for backup joins, s.migr for ranged migration joins) so
-	// acks and teardown route to the right one.
-	rmu       sync.Mutex
-	replica   any
-	replicaOf *cluster.Replicator
-
-	// vstream is the active snapshot-diff stream (OpVolStream) riding
-	// this connection, nil otherwise. One at a time per connection: acks
-	// route to it by opcode, teardown closes it.
-	vsMu    sync.Mutex
-	vstream *cluster.Stream
+	// att is the one thing riding this connection besides request/response
+	// traffic: a backup's replication session (s.repl), a migration sink's
+	// ranged session (s.migr) or a snapshot-diff stream (OpVolStream). Every
+	// response-flagged frame read off the connection goes to it and
+	// teardown closes it; attDown marks teardown so a late attach is closed
+	// instead of leaking.
+	amu     sync.Mutex
+	att     attachment
+	attDown bool
 
 	downOnce sync.Once
+}
+
+// attachment is what a connection can carry (see srvConn.att); both
+// cluster.Replicator session tokens and *cluster.Stream satisfy it.
+type attachment interface {
+	HandleAck(hdr *protocol.Header)
+	Close()
+}
+
+// attach installs a in the connection's slot, closing whatever held it —
+// and a itself when the connection already tore down (teardown seals the
+// slot with attach(nil)).
+func (sc *srvConn) attach(a attachment) {
+	sc.amu.Lock()
+	old := sc.att
+	sc.att = a
+	sc.attDown = sc.attDown || a == nil
+	down := sc.attDown
+	sc.amu.Unlock()
+	if old != nil {
+		old.Close()
+	}
+	if down && a != nil {
+		a.Close()
+	}
 }
 
 // netConn is the subset of net.Conn the server uses (test seam).
@@ -320,8 +339,7 @@ func (sc *srvConn) teardown(reaped bool) {
 			drop[i] = outMsg{}
 		}
 		sc.c.Close()
-		sc.detachReplica()
-		sc.detachVolStream()
+		sc.attach(nil)
 		s := sc.srv
 		s.connMu.Lock()
 		delete(s.conns, sc)
@@ -431,32 +449,20 @@ func (sc *srvConn) readLoop() {
 // payload to the scheduler.
 func (s *Server) dispatch(rsp responder, m *protocol.Message, lease *bufpool.Buf) {
 	hdr := m.Header
-	// Responses arriving on a server connection are replication acks from
-	// an attached backup or migration sink (the join channel carries
-	// requests out and acks back in); they route to whichever replicator
-	// owns this connection's session. Anything else is dropped.
+	// A response arriving on a server connection is an ack from whatever
+	// is attached to that connection (the join channel and the diff stream
+	// carry requests out and acks back in). Connections with no attachment,
+	// and datagrams, have nobody to ack: the frame is dropped.
 	if hdr.IsResponse() {
-		switch hdr.Opcode {
-		case protocol.OpReplicate:
-			r := s.repl
-			if sc, ok := rsp.(*srvConn); ok {
-				sc.rmu.Lock()
-				if sc.replicaOf != nil {
-					r = sc.replicaOf
-				}
-				sc.rmu.Unlock()
-			}
-			r.HandleAck(&hdr)
-		case protocol.OpVolStream:
-			// Snapshot-diff stream chunk ack from the restore receiver:
-			// route to the stream attached to this connection.
-			if sc, ok := rsp.(*srvConn); ok {
-				sc.vsMu.Lock()
-				vs := sc.vstream
-				sc.vsMu.Unlock()
-				if vs != nil {
-					vs.HandleAck(&hdr)
-				}
+		if sc, ok := rsp.(*srvConn); ok {
+			sc.amu.Lock()
+			a := sc.att
+			sc.amu.Unlock()
+			if a != nil {
+				// A copy: a pointer handed to an interface method escapes,
+				// and hdr itself must stay on the stack for the request path.
+				ack := hdr
+				a.HandleAck(&ack)
 			}
 		}
 		return

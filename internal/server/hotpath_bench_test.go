@@ -24,7 +24,7 @@ func benchServer(b *testing.B, mutate func(*Config)) *Server {
 	b.Helper()
 	cfg := Config{
 		Addr:      "127.0.0.1:0",
-		Threads:   2,
+		Cores:     2,
 		Model:     modelA(),
 		TokenRate: 100_000_000 * core.TokenUnit,
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,21 +113,12 @@ func (s *Server) failDropped(e enqueued) {
 
 // loop is the core's scheduler goroutine: it drains the request ring in
 // adaptive batches, runs one scheduling round per wakeup, and publishes
-// the core's token debt. With busy-poll enabled it spins (yielding to the
-// Go scheduler) for the configured window before parking, trading CPU for
-// wakeup latency exactly like the paper's polling dataplane cores.
+// the core's token debt.
 func (pc *pcore) loop() {
 	defer pc.srv.wg.Done()
 	ticker := time.NewTicker(pc.srv.cfg.SchedInterval)
 	defer ticker.Stop()
-	spin := pc.srv.cfg.BusyPoll
 	for {
-		if spin > 0 {
-			if !pc.spinWait(spin) {
-				pc.failRing()
-				return // server shut down mid-spin
-			}
-		}
 		select {
 		case <-pc.srv.done:
 			pc.failRing()
@@ -179,28 +169,6 @@ func (pc *pcore) failRing() {
 	}
 }
 
-// spinWait polls the ring and command channel for up to d before letting
-// the caller park in the blocking select. It yields to the Go scheduler
-// between probes so co-scheduled goroutines (connection readers producing
-// the very work it is waiting for) still run on a shared CPU. Returns
-// false when the server shut down while spinning.
-func (pc *pcore) spinWait(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for i := 0; len(pc.ring) == 0 && len(pc.cmdCh) == 0; i++ {
-		select {
-		case <-pc.srv.done:
-			return false
-		default:
-		}
-		// Check the clock every few probes, not every probe.
-		if i%64 == 63 && time.Now().After(deadline) {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return true
-}
-
 // publishDebt sums this core's tenants' negative token balances into the
 // atomically readable debt gauge that feeds the shed signal. Tenant
 // state is core-confined, so the walk happens here.
@@ -246,19 +214,13 @@ func (pc *pcore) noteDirty(sc *srvConn) {
 // connection's teardown) before the flusher exits.
 func (pc *pcore) flushLoop() {
 	defer pc.srv.wg.Done()
-	spin := pc.srv.cfg.BusyPoll
 	closing := false
 	for {
 		if !closing {
-			if spin > 0 && !pc.spinFlushWait(spin) {
+			select {
+			case <-pc.srv.done:
 				closing = true
-			}
-			if !closing {
-				select {
-				case <-pc.srv.done:
-					closing = true
-				case <-pc.flushKick:
-				}
+			case <-pc.flushKick:
 			}
 		} else {
 			if pc.nconns.Load() == 0 {
@@ -273,29 +235,6 @@ func (pc *pcore) flushLoop() {
 			}
 		}
 		pc.drainDirty()
-	}
-}
-
-// spinFlushWait busy-polls the dirty list before parking the flusher.
-// Returns false when the server shut down while spinning.
-func (pc *pcore) spinFlushWait(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for i := 0; ; i++ {
-		pc.fmu.Lock()
-		dirty := len(pc.dirty) != 0
-		pc.fmu.Unlock()
-		if dirty {
-			return true
-		}
-		select {
-		case <-pc.srv.done:
-			return false
-		default:
-		}
-		if i%64 == 63 && time.Now().After(deadline) {
-			return true
-		}
-		runtime.Gosched()
 	}
 }
 

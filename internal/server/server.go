@@ -74,17 +74,10 @@ type Config struct {
 	// Each core owns a request ring, one scheduler per device, and the
 	// batched response flusher for the connections pinned to it.
 	Cores int
-	// Threads is the deprecated alias of Cores (pre-§15 naming); it is
-	// used when Cores is zero.
-	Threads int
 	// RingSize is the per-core request ring capacity (default 4096). The
 	// default shed high watermark derives from it, so resizing the ring
 	// moves the backpressure-to-refusal crossover with it.
 	RingSize int
-	// BusyPoll spins each core's scheduler and flusher loops for this
-	// long before parking, trading CPU for wakeup latency like the
-	// paper's polling dataplane cores. 0 disables (park immediately).
-	BusyPoll time.Duration
 	// SchedInterval bounds the time between scheduling rounds.
 	SchedInterval time.Duration
 	// ReadLatency/WriteLatency optionally delay the device operation to
@@ -177,9 +170,6 @@ const (
 const DefaultRingSize = 4096
 
 func (c *Config) fill() error {
-	if c.Cores <= 0 {
-		c.Cores = c.Threads
-	}
 	if c.Cores <= 0 {
 		c.Cores = 1
 	}

@@ -158,14 +158,9 @@ func (s *Server) handleShardMap(rsp responder, hdr *protocol.Header, payload []b
 // joinMigration attaches sc as a ranged migration sink on the migration
 // replicator: catch-up for [firstLBA, firstLBA+blockCount) followed by
 // the live forward stream for writes intersecting the window, closed out
-// by the catch-up marker frame. Replication acks arriving on sc route to
-// s.migr (see dispatch), and teardown detaches the session.
+// by the catch-up marker frame.
 func (s *Server) joinMigration(sc *srvConn, firstLBA, blockCount uint32) {
-	token := s.migr.AttachRange(replicaSender{sc: sc}, firstLBA, blockCount)
-	sc.rmu.Lock()
-	sc.replica = token
-	sc.replicaOf = s.migr
-	sc.rmu.Unlock()
+	sc.attach(s.migr.AttachRange(sc, firstLBA, blockCount).(attachment))
 	s.m.migrJoins.Inc()
 }
 

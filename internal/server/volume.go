@@ -214,39 +214,31 @@ func (s *Server) handleVolStream(rsp responder, hdr *protocol.Header, payload []
 		}
 		ranges = append(ranges, cluster.StreamRange{Off: off, Len: l})
 	}
-	var vs *cluster.Stream
-	vs = cluster.NewStream(cluster.StreamConfig{
+	// One *running* stream per connection, and no stream on a connection
+	// that carries a replication session. A finished stream still in the
+	// slot (the receiver reads the end marker before the sender goroutine
+	// unwinds) counts as free. Only this connection's reader attaches, so
+	// check-then-attach cannot lose to another attach.
+	sc.amu.Lock()
+	prev, isStream := sc.att.(*cluster.Stream)
+	busy := sc.att != nil && !(isStream && prev.Done())
+	sc.amu.Unlock()
+	if busy {
+		resp.Status = protocol.StatusBadRequest
+		rsp.send(&resp, nil, nil)
+		return
+	}
+	vs := cluster.NewStream(cluster.StreamConfig{
 		Op:     protocol.OpVolStream,
 		Handle: hdr.Handle,
 		Epoch:  s.ClusterEpoch,
 		ReadAt: func(p []byte, off int64) error { return v.ReadAtGen(p, off, genB) },
-		Sender: replicaSender{sc: sc},
+		Sender: sc,
 		OnChunk: func(n int) {
 			s.m.volStreamBytes.Add(uint64(n))
 		},
-		OnDone: func(complete bool) {
-			// Only clear our own slot: a finished stream's callback must
-			// not tear down a successor already installed on the
-			// connection.
-			sc.vsMu.Lock()
-			if sc.vstream == vs {
-				sc.vstream = nil
-			}
-			sc.vsMu.Unlock()
-		},
 	})
-	sc.vsMu.Lock()
-	// One *running* stream per connection: a finished slot whose OnDone
-	// has not fired yet (the receiver reads the end marker before the
-	// sender goroutine unwinds) counts as free.
-	if sc.vstream != nil && !sc.vstream.Done() {
-		sc.vsMu.Unlock()
-		resp.Status = protocol.StatusBadRequest // one stream per connection
-		rsp.send(&resp, nil, nil)
-		return
-	}
-	sc.vstream = vs
-	sc.vsMu.Unlock()
+	sc.attach(vs)
 	resp.Count = uint32(len(exts))
 	// FIFO: the receiver reads this OK (payload = resolved generation,
 	// 64-bit so it rides the payload) before the first chunk.
@@ -259,17 +251,6 @@ func (s *Server) handleVolStream(rsp responder, hdr *protocol.Header, payload []
 		defer s.wg.Done()
 		vs.Run(ranges)
 	}()
-}
-
-// detachVolStream closes the connection's diff stream on teardown.
-func (sc *srvConn) detachVolStream() {
-	sc.vsMu.Lock()
-	vs := sc.vstream
-	sc.vstream = nil
-	sc.vsMu.Unlock()
-	if vs != nil {
-		vs.Close()
-	}
 }
 
 // handleTrim serves OpTrim (discard): volume-bound tenants free the

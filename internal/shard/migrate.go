@@ -513,7 +513,7 @@ func (s *migrationSink) stopped() bool {
 
 // loop reads the join channel: the handshake response, catch-up chunks
 // and live forwards (OpReplicate requests, relayed then acked), and the
-// catch-up marker (non-response OpJoin).
+// catch-up marker (non-response OpJoin; a non-OK one fails the move).
 func (s *migrationSink) loop() {
 	br := bufio.NewReaderSize(s.src, 256<<10)
 	var msg protocol.Message
@@ -535,7 +535,13 @@ func (s *migrationSink) loop() {
 			}
 			first = false
 		case hdr.Opcode == protocol.OpJoin && !hdr.IsResponse():
-			// Catch-up marker: every block of the window is across.
+			// Catch-up marker: StatusOK means every block of the window is
+			// across; anything else is the source aborting (backend read
+			// error, refused chunk) with blocks still missing.
+			if hdr.Status != protocol.StatusOK {
+				s.fail(fmt.Errorf("catch-up aborted by source: %s", hdr.Status))
+				return
+			}
 			s.caughtOn.Do(func() { close(s.caught) })
 		case hdr.Opcode == protocol.OpReplicate && !hdr.IsResponse():
 			// A traced forward parents the destination's serve span to a

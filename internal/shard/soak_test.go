@@ -41,7 +41,7 @@ func startPairNode(t *testing.T, name string) *pairNode {
 	mk := func(backupRole bool) *server.Server {
 		srv, err := server.New(server.Config{
 			Addr:       "127.0.0.1:0",
-			Threads:    2,
+			Cores:      2,
 			Epoch:      1,
 			BackupRole: backupRole,
 			Model:      costModel(),

@@ -295,3 +295,58 @@ func TestCommitHookFencesEdits(t *testing.T) {
 	}
 	fakes["a:1"].mu.Unlock()
 }
+
+// TestSinkAbortMarkerFailsCatchup: a source that cannot finish the
+// catch-up (backend read error, refused chunk) says so with a non-OK
+// OpJoin marker. The sink must report that as a failed transfer and never
+// signal caught — cutting over would make a destination with missing
+// blocks authoritative.
+func TestSinkAbortMarkerFailsCatchup(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		// Handshake, abort marker, then silence on an open connection: only
+		// the marker can tell the sink the window is not across.
+		defer c.Close()
+		m, err := protocol.ReadMessage(c)
+		if err != nil || m.Header.Opcode != protocol.OpJoin {
+			return
+		}
+		echo := protocol.Header{Opcode: protocol.OpJoin, LBA: m.Header.LBA, Count: m.Header.Count, Epoch: 1}
+		ok := echo
+		ok.Flags = protocol.FlagResponse
+		protocol.WriteMessage(c, &ok, nil)
+		echo.Status = protocol.StatusError
+		protocol.WriteMessage(c, &echo, nil)
+		c.Read(make([]byte, 1)) // hold the connection until the sink closes it
+	}()
+
+	c := &Coordinator{cfg: CoordinatorConfig{InstallTimeout: 2 * time.Second}}
+	sink, err := c.startSink(ln.Addr().String(), []string{destEndpoint(t)}, 128, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.close()
+	select {
+	case err := <-sink.errCh:
+		if !strings.Contains(err.Error(), "aborted") {
+			t.Fatalf("sink error = %v, want catch-up aborted", err)
+		}
+	case <-sink.caught:
+		t.Fatal("sink signalled caught-up on a non-OK marker")
+	case <-time.After(5 * time.Second):
+		t.Fatal("sink neither failed nor caught up")
+	}
+	select {
+	case <-sink.caught:
+		t.Fatal("sink signalled caught-up after failing")
+	default:
+	}
+}

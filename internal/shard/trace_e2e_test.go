@@ -39,7 +39,10 @@ func newTracedRouter(t *testing.T, seeds []string, ring *obs.Ring) *shard.Router
 //   - the coordinator's event journal holds the complete MoveShard
 //     phase sequence (prepare -> catchup -> cutover -> drain -> done).
 func TestTraceE2E(t *testing.T) {
-	const numShards, shardBlocks = 2, 1024
+	// A 4 MiB shard keeps the move window open for tens of catch-up round
+	// trips; with 1024 blocks it sometimes closed between two writes of
+	// the throttled writer and no relay span was ever recorded.
+	const numShards, shardBlocks = 2, 8192
 	c, srvs := soloCluster(t, 2, numShards, shardBlocks)
 	m := c.Map()
 	moveShard := -1
