@@ -135,7 +135,7 @@ func runChaos(cfg chaosConfig) int {
 	var t tally
 	var reconnects, replays atomic.Uint64
 	stop := make(chan struct{})
-	var wg sync.WaitGroup      // load + probe goroutines
+	var wg sync.WaitGroup       // load + probe goroutines
 	var inflight sync.WaitGroup // one unit per issued async call
 
 	// Load connections: open-loop over faulted, reconnecting clients. Each

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"github.com/reflex-go/reflex/internal/client"
@@ -277,16 +276,6 @@ func runFailover(cfg failoverConfig) int {
 
 // fence sends a raw OpFence at epoch e and waits for the ack.
 func fence(addr string, e uint16) error {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(2 * time.Second))
-	hdr := protocol.Header{Opcode: protocol.OpFence, Epoch: e}
-	if err := protocol.WriteMessage(c, &hdr, nil); err != nil {
-		return err
-	}
-	_, err = protocol.ReadMessage(c)
+	_, err := protocol.Exchange(nil, addr, 2*time.Second, &protocol.Header{Opcode: protocol.OpFence, Epoch: e}, nil)
 	return err
 }

@@ -18,9 +18,9 @@ func TestParseSize(t *testing.T) {
 		{"1KiB", 1 << 10},
 		{"64MiB", 64 << 20},
 		{"1GiB", 1 << 30},
-		{"2gib", 2 << 30},     // case-insensitive
-		{"16 MiB", 16 << 20},  // inner whitespace tolerated
-		{" 512 ", 512},        // surrounding whitespace
+		{"2gib", 2 << 30},    // case-insensitive
+		{"16 MiB", 16 << 20}, // inner whitespace tolerated
+		{" 512 ", 512},       // surrounding whitespace
 	}
 	for _, c := range cases {
 		got, err := parseSize(c.in)

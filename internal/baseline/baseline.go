@@ -53,11 +53,10 @@ type localOp struct {
 }
 
 type localCore struct {
-	node    *LocalNode
-	res     *sim.Resource
-	sq      []*localOp // submissions waiting for CPU
-	cq      []*localOp // device completions waiting for CPU
-	running bool
+	node *LocalNode
+	poll *sim.Poller
+	sq   []*localOp // submissions waiting for CPU
+	cq   []*localOp // device completions waiting for CPU
 }
 
 // NewLocalNode creates a local SPDK-style node with the given core count.
@@ -67,10 +66,9 @@ func NewLocalNode(eng *sim.Engine, dev *flashsim.Device, cores int) *LocalNode {
 	}
 	n := &LocalNode{eng: eng, dev: dev, SubmitCPU: 600, CompleteCPU: 550, MaxBatch: 64}
 	for i := 0; i < cores; i++ {
-		n.cores = append(n.cores, &localCore{
-			node: n,
-			res:  sim.NewResource(eng, fmt.Sprintf("spdk/core%d", i)),
-		})
+		c := &localCore{node: n}
+		c.poll = sim.NewPoller(eng, sim.NewResource(eng, fmt.Sprintf("spdk/core%d", i)), c.pass, c.again)
+		n.cores = append(n.cores, c)
 	}
 	return n
 }
@@ -93,62 +91,38 @@ type CoreTarget struct {
 func (t CoreTarget) Issue(op core.OpType, block uint64, size int, done func(lat sim.Time)) {
 	lo := &localOp{op: op, block: block, size: size, start: t.c.node.eng.Now(), done: done}
 	t.c.sq = append(t.c.sq, lo)
-	t.c.kick()
+	t.c.poll.Kick()
 }
 
-func (c *localCore) kick() {
-	if c.running {
-		return
-	}
-	c.running = true
-	c.node.eng.After(0, c.pass)
-}
-
-func (c *localCore) pass() {
+func (c *localCore) pass() bool {
 	n := c.node
-	take := func(q *[]*localOp) []*localOp {
-		k := len(*q)
-		if k > n.MaxBatch {
-			k = n.MaxBatch
-		}
-		batch := (*q)[:k:k]
-		*q = append([]*localOp(nil), (*q)[k:]...)
-		return batch
-	}
 	// Completions first, as polling loops drain the CQ before submitting.
-	for _, lo := range take(&c.cq) {
+	for _, lo := range sim.Take(&c.cq, n.MaxBatch) {
 		lo := lo
-		c.res.Schedule(n.CompleteCPU, func(at sim.Time) {
+		c.poll.Core.Schedule(n.CompleteCPU, func(at sim.Time) {
 			if lo.done != nil {
 				lo.done(at - lo.start)
 			}
 		})
 	}
-	for _, lo := range take(&c.sq) {
+	for _, lo := range sim.Take(&c.sq, n.MaxBatch) {
 		lo := lo
-		c.res.Schedule(n.SubmitCPU, func(sim.Time) {
-			fop := flashsim.OpRead
-			if lo.op == core.OpWrite {
-				fop = flashsim.OpWrite
-			}
+		c.poll.Core.Schedule(n.SubmitCPU, func(sim.Time) {
 			n.dev.Submit(&flashsim.Request{
-				Op:    fop,
+				Op:    flashsim.OpFor(lo.op),
 				Block: lo.block,
 				Size:  lo.size,
 				OnComplete: func(sim.Time) {
 					c.cq = append(c.cq, lo)
-					c.kick()
+					c.poll.Kick()
 				},
 			})
 		})
 	}
-	c.res.Schedule(0, func(sim.Time) {
-		c.running = false
-		if len(c.sq) > 0 || len(c.cq) > 0 {
-			c.kick()
-		}
-	})
+	return true
 }
+
+func (c *localCore) again() bool { return len(c.sq) > 0 || len(c.cq) > 0 }
 
 // ServerProfile parameterizes an interrupt-driven remote storage server.
 type ServerProfile struct {
@@ -226,18 +200,19 @@ type Server struct {
 }
 
 type bthread struct {
-	srv     *Server
-	core    *sim.Resource
-	rxQ     []*breq
-	cqQ     []*breq
-	running bool
+	srv  *Server
+	poll *sim.Poller
+	rxQ  []*breq
+	cqQ  []*breq
 }
 
 type breq struct {
-	conn *Conn
-	op   core.OpType
-	blk  uint64
-	size int
+	conn  *Conn
+	op    core.OpType
+	blk   uint64
+	size  int
+	start sim.Time
+	done  func(lat sim.Time)
 }
 
 // NewServer creates a baseline server on the network and device.
@@ -253,10 +228,9 @@ func NewServer(eng *sim.Engine, net *netsim.Network, dev *flashsim.Device, prof 
 		prof:     prof,
 	}
 	for i := 0; i < prof.Threads; i++ {
-		s.threads = append(s.threads, &bthread{
-			srv:  s,
-			core: sim.NewResource(eng, fmt.Sprintf("%s/core%d", prof.Name, i)),
-		})
+		th := &bthread{srv: s}
+		th.poll = sim.NewPoller(eng, sim.NewResource(eng, fmt.Sprintf("%s/core%d", prof.Name, i)), th.pass, th.again)
+		s.threads = append(s.threads, th)
 	}
 	return s
 }
@@ -269,30 +243,18 @@ type Conn struct {
 	srv    *Server
 	thread *bthread
 	client *netsim.Endpoint
-	lat    map[*breq]func(sim.Time)
-	start  map[*breq]sim.Time
 }
 
 // Connect opens a connection from the client endpoint.
 func (s *Server) Connect(client *netsim.Endpoint) *Conn {
 	th := s.threads[s.next%len(s.threads)]
 	s.next++
-	return &Conn{
-		srv:    s,
-		thread: th,
-		client: client,
-		lat:    make(map[*breq]func(sim.Time)),
-		start:  make(map[*breq]sim.Time),
-	}
+	return &Conn{srv: s, thread: th, client: client}
 }
 
 // Issue sends one I/O to the server; it satisfies workload.Target.
 func (c *Conn) Issue(op core.OpType, block uint64, size int, done func(lat sim.Time)) {
-	r := &breq{conn: c, op: op, blk: block, size: size}
-	if done != nil {
-		c.lat[r] = done
-	}
-	c.start[r] = c.srv.eng.Now()
+	r := &breq{conn: c, op: op, blk: block, size: size, start: c.srv.eng.Now(), done: done}
 	wire := 48 // iSCSI/libaio request PDU
 	if op == core.OpWrite {
 		wire += size
@@ -307,64 +269,40 @@ func (c *Conn) Issue(op core.OpType, block uint64, size int, done func(lat sim.T
 
 func (th *bthread) arrive(r *breq) {
 	th.rxQ = append(th.rxQ, r)
-	th.kick()
+	th.poll.Kick()
 }
 
 func (th *bthread) complete(r *breq) {
 	th.cqQ = append(th.cqQ, r)
-	th.kick()
+	th.poll.Kick()
 }
 
-func (th *bthread) kick() {
-	if th.running {
-		return
-	}
-	th.running = true
-	th.srv.eng.After(0, th.pass)
-}
-
-func (th *bthread) pass() {
+func (th *bthread) pass() bool {
 	p := &th.srv.prof
-	take := func(q *[]*breq) []*breq {
-		n := len(*q)
-		if n > p.MaxBatch {
-			n = p.MaxBatch
-		}
-		batch := (*q)[:n:n]
-		*q = append([]*breq(nil), (*q)[n:]...)
-		return batch
-	}
-	for _, r := range take(&th.rxQ) {
+	for _, r := range sim.Take(&th.rxQ, p.MaxBatch) {
 		r := r
 		cpu := p.RxCPU
 		if r.op == core.OpWrite {
 			cpu += sim.Time(r.size/1024) * p.CopyCPUPerKB
 		}
-		th.core.Schedule(cpu, func(sim.Time) { th.submit(r) })
+		th.poll.Core.Schedule(cpu, func(sim.Time) { th.submit(r) })
 	}
-	for _, r := range take(&th.cqQ) {
+	for _, r := range sim.Take(&th.cqQ, p.MaxBatch) {
 		r := r
 		cpu := p.TxCPU
 		if r.op == core.OpRead {
 			cpu += sim.Time(r.size/1024) * p.CopyCPUPerKB
 		}
-		th.core.Schedule(cpu, func(sim.Time) { r.conn.respond(r) })
+		th.poll.Core.Schedule(cpu, func(sim.Time) { r.conn.respond(r) })
 	}
-	th.core.Schedule(0, func(sim.Time) {
-		th.running = false
-		if len(th.rxQ) > 0 || len(th.cqQ) > 0 {
-			th.kick()
-		}
-	})
+	return true
 }
 
+func (th *bthread) again() bool { return len(th.rxQ) > 0 || len(th.cqQ) > 0 }
+
 func (th *bthread) submit(r *breq) {
-	fop := flashsim.OpRead
-	if r.op == core.OpWrite {
-		fop = flashsim.OpWrite
-	}
 	th.srv.dev.Submit(&flashsim.Request{
-		Op:    fop,
+		Op:    flashsim.OpFor(r.op),
 		Block: r.blk,
 		Size:  r.size,
 		OnComplete: func(sim.Time) {
@@ -385,11 +323,10 @@ func (c *Conn) respond(r *breq) {
 			wire += r.size
 		}
 		c.srv.endpoint.Send(c.client, wire, func(at sim.Time) {
-			start := c.start[r]
-			delete(c.start, r)
-			if done, ok := c.lat[r]; ok {
-				delete(c.lat, r)
-				done(at - start)
+			// Under a duplicated message only the first copy completes.
+			if done := r.done; done != nil {
+				r.done = nil
+				done(at - r.start)
 			}
 		})
 	})

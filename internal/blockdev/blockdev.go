@@ -112,12 +112,11 @@ type Remote struct {
 // core alternates bounded batches of transmissions and receptions (the
 // kernel's softirq budget), so neither direction starves under overload.
 type hwContext struct {
-	r       *Remote
-	core    *sim.Resource
-	conn    workload.Target
-	txQ     []*bio
-	rxQ     []*bio
-	running bool
+	r    *Remote
+	poll *sim.Poller
+	conn workload.Target
+	txQ  []*bio
+	rxQ  []*bio
 }
 
 // bio is one in-flight block I/O.
@@ -131,48 +130,28 @@ type bio struct {
 
 const ctxBudget = 32 // NAPI-style per-pass budget
 
-func (c *hwContext) kick() {
-	if c.running {
-		return
-	}
-	c.running = true
-	c.r.eng.After(0, c.pass)
-}
-
-func (c *hwContext) pass() {
-	take := func(q *[]*bio) []*bio {
-		n := len(*q)
-		if n > ctxBudget {
-			n = ctxBudget
-		}
-		batch := (*q)[:n:n]
-		*q = append([]*bio(nil), (*q)[n:]...)
-		return batch
-	}
-	for _, b := range take(&c.rxQ) {
+func (c *hwContext) pass() bool {
+	for _, b := range sim.Take(&c.rxQ, ctxBudget) {
 		b := b
-		c.core.Schedule(c.r.RxCPU, func(at sim.Time) {
+		c.poll.Core.Schedule(c.r.RxCPU, func(at sim.Time) {
 			if b.done != nil {
 				b.done(at - b.start)
 			}
 		})
 	}
-	for _, b := range take(&c.txQ) {
+	for _, b := range sim.Take(&c.txQ, ctxBudget) {
 		b := b
-		c.core.Schedule(c.r.TxCPU, func(sim.Time) {
+		c.poll.Core.Schedule(c.r.TxCPU, func(sim.Time) {
 			c.conn.Issue(b.op, b.block, b.size, func(sim.Time) {
 				c.rxQ = append(c.rxQ, b)
-				c.kick()
+				c.poll.Kick()
 			})
 		})
 	}
-	c.core.Schedule(0, func(sim.Time) {
-		c.running = false
-		if len(c.txQ) > 0 || len(c.rxQ) > 0 {
-			c.kick()
-		}
-	})
+	return true
 }
+
+func (c *hwContext) again() bool { return len(c.txQ) > 0 || len(c.rxQ) > 0 }
 
 // NewRemote builds a remote block device over one connection per hardware
 // context. conns typically come from dataplane.Server.Connect or
@@ -188,11 +167,9 @@ func NewRemote(eng *sim.Engine, conns []workload.Target) *Remote {
 		BlockLayer: 3 * sim.Microsecond,
 	}
 	for i, c := range conns {
-		r.ctxs = append(r.ctxs, &hwContext{
-			r:    r,
-			core: sim.NewResource(eng, fmt.Sprintf("blkmq/ctx%d", i)),
-			conn: c,
-		})
+		ctx := &hwContext{r: r, conn: c}
+		ctx.poll = sim.NewPoller(eng, sim.NewResource(eng, fmt.Sprintf("blkmq/ctx%d", i)), ctx.pass, ctx.again)
+		r.ctxs = append(r.ctxs, ctx)
 	}
 	return r
 }
@@ -263,6 +240,6 @@ func (r *Remote) SubmitOn(ctx *hwContext, op core.OpType, block uint64, size int
 	b := &bio{op: op, block: block, size: size, start: r.eng.Now(), done: done}
 	r.eng.After(r.BlockLayer, func() {
 		ctx.txQ = append(ctx.txQ, b)
-		ctx.kick()
+		ctx.poll.Kick()
 	})
 }

@@ -132,9 +132,9 @@ func TestContextPinning(t *testing.T) {
 		t.Fatalf("completed %d", n)
 	}
 	// All work landed on context 0's core.
-	if r.ctxs[0].core.Jobs() == 0 || r.ctxs[1].core.Jobs() != 0 {
+	if r.ctxs[0].poll.Core.Jobs() == 0 || r.ctxs[1].poll.Core.Jobs() != 0 {
 		t.Fatalf("pinning failed: ctx0=%d ctx1=%d jobs",
-			r.ctxs[0].core.Jobs(), r.ctxs[1].core.Jobs())
+			r.ctxs[0].poll.Core.Jobs(), r.ctxs[1].poll.Core.Jobs())
 	}
 }
 

@@ -455,20 +455,32 @@ func (cl *Client) rotateTarget() {
 	}
 }
 
+// dialTimeout bounds a connect when Options.Timeout is unset: reconnect
+// dials under wmu, so an unbounded connect to a blackholed node would
+// block every sender for the kernel's connect timeout.
+const dialTimeout = 5 * time.Second
+
+// dialConn opens a raw connection to addr through the configured dial
+// seam, or the network with a bounded connect.
+func (cl *Client) dialConn(addr string) (net.Conn, error) {
+	switch {
+	case cl.opts.DialerFor != nil:
+		return cl.opts.DialerFor(addr)
+	case cl.opts.Dialer != nil:
+		return cl.opts.Dialer()
+	}
+	d := cl.opts.Timeout
+	if d <= 0 {
+		d = dialTimeout
+	}
+	return net.DialTimeout("tcp", addr, d)
+}
+
 // dialTCP opens a TCP transport to addr. The target is read from the
 // client at call time (not captured at construction), so a failover that
 // swaps cl.tIdx redirects every subsequent reconnect attempt.
 func (cl *Client) dialTCP(addr string) (transport, error) {
-	var c net.Conn
-	var err error
-	switch {
-	case cl.opts.DialerFor != nil:
-		c, err = cl.opts.DialerFor(addr)
-	case cl.opts.Dialer != nil:
-		c, err = cl.opts.Dialer()
-	default:
-		c, err = net.Dial("tcp", addr)
-	}
+	c, err := cl.dialConn(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -966,19 +978,15 @@ func (cl *Client) mapHandle(h uint16) uint16 {
 
 // send registers the call and writes the request.
 func (cl *Client) send(hdr *protocol.Header, payload []byte) (*Call, error) {
-	return cl.sendLease(hdr, payload, nil)
+	return cl.sendCall(hdr, payload, nil, 0)
 }
 
-// sendLease is send with a pooled payload lease attached to the call
-// (checksum-sealed write frames). Ownership of the lease transfers to the
-// call on success and is released here on every early-error path.
-func (cl *Client) sendLease(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) (*Call, error) {
-	return cl.sendCall(hdr, payload, lease, 0)
-}
-
-// sendCall is sendLease for a traced request: trace (non-zero) is
-// recorded on the call BEFORE it enters the pending map, so the read
-// loop's deliver can never observe a half-initialized call.
+// sendCall is send with a pooled payload lease attached to the call
+// (sealed write frames, traced reads) and the request's trace id (0 for
+// untraced). Ownership of the lease transfers to the call on success and
+// is released here on every early-error path. The trace id is recorded on
+// the call BEFORE it enters the pending map, so the read loop's deliver
+// can never observe a half-initialized call.
 func (cl *Client) sendCall(hdr *protocol.Header, payload []byte, lease *bufpool.Buf, trace uint64) (*Call, error) {
 	call := &Call{Done: make(chan struct{}), payload: payload, lease: lease, staleLeft: 2,
 		TraceID: trace, startNS: cl.now()}
@@ -1110,15 +1118,14 @@ func (cl *Client) GoRead(handle uint16, lba uint32, n int) (*Call, error) {
 
 // GoWrite starts an asynchronous write of data at lba (512-byte units).
 func (cl *Client) GoWrite(handle uint16, lba uint32, data []byte) (*Call, error) {
-	return cl.goWriteFlags(handle, lba, data, 0)
+	return cl.goWrite(handle, lba, data, 0, 0, 0)
 }
 
 // GoWriteHinted starts an asynchronous write carrying an FDP-style data
 // lifetime hint (protocol.HintShort or protocol.HintLong). The hint is
 // advisory: placement-aware servers segregate hinted writes into
 // separate streams/erase units to cut write amplification; others count
-// and ignore it. Traced clients drop the hint (the trace trailer owns
-// that path today).
+// and ignore it.
 func (cl *Client) GoWriteHinted(handle uint16, lba uint32, data []byte, hint int) (*Call, error) {
 	var flags uint16
 	switch hint {
@@ -1127,7 +1134,7 @@ func (cl *Client) GoWriteHinted(handle uint16, lba uint32, data []byte, hint int
 	case protocol.HintLong:
 		flags = protocol.FlagHintLong
 	}
-	return cl.goWriteFlags(handle, lba, data, flags)
+	return cl.goWrite(handle, lba, data, flags, 0, 0)
 }
 
 // WriteHinted is the synchronous form of GoWriteHinted.
@@ -1139,16 +1146,31 @@ func (cl *Client) WriteHinted(handle uint16, lba uint32, data []byte, hint int) 
 	return cl.wait(call)
 }
 
-func (cl *Client) goWriteFlags(handle uint16, lba uint32, data []byte, flags uint16) (*Call, error) {
-	if cl.opts.Trace {
-		trace := cl.nextTrace()
-		return cl.goWriteTraced(handle, lba, data, trace, trace)
+// GoWriteTraced starts an asynchronous write carrying an explicit trace
+// context (trace id + parent span id), regardless of Options.Trace. The
+// migration sink uses it to relay forwarded writes without breaking the
+// originating request's timeline.
+func (cl *Client) GoWriteTraced(handle uint16, lba uint32, data []byte, trace, parent uint64) (*Call, error) {
+	return cl.goWrite(handle, lba, data, 0, trace, parent)
+}
+
+// goWrite builds the one write frame — data [+ CRC] [+ trace trailer] —
+// and sends it. flags are the caller's header flags (lifetime hints);
+// trace 0 means no explicit context, in which case Options.Trace mints a
+// root one (parent == trace: the client root span).
+func (cl *Client) goWrite(handle uint16, lba uint32, data []byte, flags uint16, trace, parent uint64) (*Call, error) {
+	if trace == 0 && cl.opts.Trace {
+		trace = cl.nextTrace()
+		parent = trace
 	}
-	max := protocol.MaxPayload
+	trailer := 0
 	if cl.opts.Checksum {
-		max -= protocol.ChecksumSize
+		trailer += protocol.ChecksumSize
 	}
-	if len(data) == 0 || len(data) > max {
+	if trace != 0 {
+		trailer += protocol.TraceSize
+	}
+	if len(data) == 0 || len(data) > protocol.MaxPayload-trailer {
 		return nil, ErrBadRequest
 	}
 	hdr := &protocol.Header{
@@ -1158,60 +1180,27 @@ func (cl *Client) goWriteFlags(handle uint16, lba uint32, data []byte, flags uin
 		Count:  uint32(len(data)),
 		Flags:  flags,
 	}
-	payload := data
-	var lease *bufpool.Buf
+	if trailer == 0 {
+		// Nothing to seal: the caller's slice goes to the wire as is.
+		return cl.sendCall(hdr, data, nil, 0)
+	}
+	// Seal into one pooled frame: one copy into a lease with trailer
+	// slack, trailers appended in place. Layering matters: the server
+	// strips the trace trailer before verifying the checksum, so the CRC
+	// goes on first (over data only). The lease lives until the call
+	// completes — the sealed payload may be replayed across reconnects
+	// and failovers.
+	lease := bufpool.Get(len(data) + trailer)
+	payload := lease.Bytes()[:len(data)]
+	copy(payload, data)
 	if cl.opts.Checksum {
 		hdr.Flags |= protocol.FlagChecksum
-		// Seal into a pooled frame: one copy into a lease with trailer
-		// slack, CRC appended in place. The lease lives until the call
-		// completes — the sealed payload may be replayed across
-		// reconnects and failovers.
-		lease = bufpool.Get(len(data) + protocol.ChecksumSize)
-		buf := lease.Bytes()[:len(data)]
-		copy(buf, data)
-		payload = protocol.AppendChecksum(buf)
+		payload = protocol.AppendChecksum(payload)
 	}
-	return cl.sendLease(hdr, payload, lease)
-}
-
-// GoWriteTraced starts an asynchronous write carrying an explicit trace
-// context (trace id + parent span id), regardless of Options.Trace. The
-// migration sink uses it to relay forwarded writes without breaking the
-// originating request's timeline; Options.Trace routes here too (with
-// parent == trace: the client root span).
-func (cl *Client) GoWriteTraced(handle uint16, lba uint32, data []byte, trace, parent uint64) (*Call, error) {
-	if trace == 0 {
-		return cl.GoWrite(handle, lba, data)
+	if trace != 0 {
+		hdr.Flags |= protocol.FlagTraced
+		payload = protocol.AppendTrace(payload, trace, parent)
 	}
-	return cl.goWriteTraced(handle, lba, data, trace, parent)
-}
-
-func (cl *Client) goWriteTraced(handle uint16, lba uint32, data []byte, trace, parent uint64) (*Call, error) {
-	max := protocol.MaxPayload - protocol.TraceSize
-	if cl.opts.Checksum {
-		max -= protocol.ChecksumSize
-	}
-	if len(data) == 0 || len(data) > max {
-		return nil, ErrBadRequest
-	}
-	hdr := &protocol.Header{
-		Opcode: protocol.OpWrite,
-		Handle: handle,
-		LBA:    lba,
-		Count:  uint32(len(data)),
-		Flags:  protocol.FlagTraced,
-	}
-	// Seal data [+ CRC] + trace trailer into one pooled frame. Layering
-	// matters: the server strips the trace trailer before verifying the
-	// checksum, so the CRC goes on first (over data only).
-	lease := bufpool.Get(len(data) + protocol.ChecksumSize + protocol.TraceSize)
-	buf := lease.Bytes()[:len(data)]
-	copy(buf, data)
-	if cl.opts.Checksum {
-		hdr.Flags |= protocol.FlagChecksum
-		buf = protocol.AppendChecksum(buf)
-	}
-	payload := protocol.AppendTrace(buf, trace, parent)
 	return cl.sendCall(hdr, payload, lease, trace)
 }
 

@@ -193,20 +193,10 @@ func (cl *Client) fenceOthers(keep string, e uint16) {
 		if addr == keep {
 			continue
 		}
-		t, err := cl.dialTCP(addr)
-		if err != nil {
-			continue
-		}
+		// The exchange waits for the ack, so the fence is processed before
+		// the connection drops; its contents (and any error) are ignored.
 		hdr := protocol.Header{Opcode: protocol.OpFence, Cookie: cl.cookie.Add(1), Epoch: e}
-		if t.writeMessage(&hdr, nil) == nil {
-			// Read the ack so the fence is actually processed before the
-			// connection drops; ignore its contents.
-			if tt, ok := t.(*tcpTransport); ok {
-				tt.c.SetReadDeadline(time.Now().Add(2 * time.Second))
-			}
-			t.readMessage()
-		}
-		t.close()
+		protocol.Exchange(cl.dialConn, addr, 2*time.Second, &hdr, nil)
 	}
 }
 

@@ -111,11 +111,16 @@ func (b *Backup) logf(format string, args ...any) {
 	}
 }
 
+// dialTimeout bounds the connect to the primary: Stop waits for the join
+// loop, so a blackholed primary must not hold it for the kernel's
+// connect timeout.
+const dialTimeout = 2 * time.Second
+
 func (b *Backup) dial() (net.Conn, error) {
 	if b.opts.Dialer != nil {
 		return b.opts.Dialer(b.primary)
 	}
-	return net.Dial("tcp", b.primary)
+	return net.DialTimeout("tcp", b.primary, dialTimeout)
 }
 
 func (b *Backup) loop() {

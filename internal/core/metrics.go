@@ -45,25 +45,3 @@ func RegisterSharedMetrics(reg *obs.Registry, sh *SharedState, labels ...obs.Lab
 	reg.GaugeFunc("be_tenants", "registered best-effort tenants",
 		func() float64 { return float64(sh.BECount()) }, labels...)
 }
-
-// RegisterTenantMetrics exposes one tenant's scheduler counters — the SLO
-// compliance inputs a sampler tracks per tenant. Single-writer like the
-// owning scheduler; scrape from its thread's context.
-func RegisterTenantMetrics(reg *obs.Registry, t *Tenant, labels ...obs.Label) {
-	reg.CounterFunc("tenant_enqueued_total", "requests enqueued for the tenant",
-		func() float64 { return float64(t.stats.Enqueued) }, labels...)
-	reg.CounterFunc("tenant_submitted_total", "requests admitted for the tenant",
-		func() float64 { return float64(t.stats.Submitted) }, labels...)
-	reg.CounterFunc("tenant_submitted_tokens_total", "millitokens admitted for the tenant",
-		func() float64 { return float64(t.stats.SubmittedTokens) }, labels...)
-	reg.CounterFunc("tenant_neg_limit_hits_total", "rounds ended at/below the burst deficit floor",
-		func() float64 { return float64(t.stats.NegLimitHits) }, labels...)
-	reg.CounterFunc("tenant_donated_tokens_total", "millitokens donated to the global bucket",
-		func() float64 { return float64(t.stats.Donated) }, labels...)
-	reg.CounterFunc("tenant_claimed_tokens_total", "millitokens claimed from the global bucket",
-		func() float64 { return float64(t.stats.Claimed) }, labels...)
-	reg.GaugeFunc("tenant_tokens", "current token balance (millitokens)",
-		func() float64 { return float64(t.tokens) }, labels...)
-	reg.GaugeFunc("tenant_queue_depth", "requests in the tenant's software queue",
-		func() float64 { return float64(t.queue.len()) }, labels...)
-}

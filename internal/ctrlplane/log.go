@@ -1,6 +1,10 @@
 package ctrlplane
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/reflex-go/reflex/internal/protocol"
+)
 
 // EntryKind classifies one replicated-log entry. Map-carrying kinds
 // mirror shard.EditKind one for one; Noop and Config are control-plane
@@ -76,26 +80,26 @@ type Entry struct {
 }
 
 func (e *Entry) marshal(b []byte) []byte {
-	b = appendU64(b, e.Index)
-	b = appendU64(b, e.Term)
-	b = appendU8(b, uint8(e.Kind))
-	b = appendU32(b, uint32(e.Shard))
-	b = appendStr(b, e.Src)
-	b = appendStr(b, e.Dest)
-	b = appendBytes(b, e.Map)
-	return appendStr(b, e.Detail)
+	b = protocol.AppendU64(b, e.Index)
+	b = protocol.AppendU64(b, e.Term)
+	b = protocol.AppendU8(b, uint8(e.Kind))
+	b = protocol.AppendU32(b, uint32(e.Shard))
+	b = protocol.AppendStr(b, e.Src)
+	b = protocol.AppendStr(b, e.Dest)
+	b = protocol.AppendBytes(b, e.Map)
+	return protocol.AppendStr(b, e.Detail)
 }
 
-func parseEntry(r *wireReader) Entry {
+func parseEntry(r *protocol.Cursor) Entry {
 	return Entry{
-		Index:  r.u64(),
-		Term:   r.u64(),
-		Kind:   EntryKind(r.u8()),
-		Shard:  int32(r.u32()),
-		Src:    r.str(),
-		Dest:   r.str(),
-		Map:    r.bytes(),
-		Detail: r.str(),
+		Index:  r.U64(),
+		Term:   r.U64(),
+		Kind:   EntryKind(r.U8()),
+		Shard:  int32(r.U32()),
+		Src:    r.Str(),
+		Dest:   r.Str(),
+		Map:    r.Bytes(),
+		Detail: r.Str(),
 	}
 }
 

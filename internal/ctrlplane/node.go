@@ -81,7 +81,7 @@ type Config struct {
 	// Logf receives decisions (nil = silent).
 	Logf func(format string, args ...any)
 	// Dialer is the replica dial seam (nil: net.DialTimeout).
-	Dialer dialFunc
+	Dialer protocol.DialFunc
 	// Listener, when set, serves in place of listening on Self (tests
 	// bind :0 first to learn the address).
 	Listener net.Listener
@@ -472,7 +472,7 @@ func (n *Node) runElection() {
 		}
 		sent++
 		go func(p string) {
-			raw, err := ctrlRequest(n.cfg.Dialer, p, n.cfg.RPCTimeout, protocol.OpCtrlVote, payload)
+			raw, err := n.call(p, protocol.OpCtrlVote, payload)
 			if err != nil {
 				ch <- res{p, nil}
 				return
@@ -626,7 +626,7 @@ func (n *Node) leaderRound() {
 	ch := make(chan res, len(jobs))
 	for _, j := range jobs {
 		go func(j job) {
-			raw, err := ctrlRequest(n.cfg.Dialer, j.peer, n.cfg.RPCTimeout, j.op, j.pay)
+			raw, err := n.call(j.peer, j.op, j.pay)
 			r := res{job: j}
 			if err == nil {
 				if j.op == protocol.OpCtrlAppend {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/reflex-go/reflex/internal/obs"
+	"github.com/reflex-go/reflex/internal/protocol"
 )
 
 // partition is a shared dial seam: cutting an address fails every dial
@@ -33,7 +34,7 @@ func (p *partition) set(addr string, cut bool) {
 }
 
 // dialer returns self's dial function through the partition.
-func (p *partition) dialer(self string) dialFunc {
+func (p *partition) dialer(self string) protocol.DialFunc {
 	return func(addr string) (net.Conn, error) {
 		if p.isCut(self) || p.isCut(addr) {
 			return nil, fmt.Errorf("partition: %s -/-> %s", self, addr)
@@ -111,7 +112,7 @@ func waitCond(t *testing.T, timeout time.Duration, what string, cond func() bool
 
 // rawMap fakes a marshaled shard map: only the leading u32 version is
 // interpreted by the control plane.
-func rawMap(v uint32) []byte { return appendU32(nil, v) }
+func rawMap(v uint32) []byte { return protocol.AppendU32(nil, v) }
 
 func hasEvent(j *obs.Journal, kind obs.EventKind) bool {
 	for _, e := range j.Recent(512) {
@@ -124,9 +125,9 @@ func hasEvent(j *obs.Journal, kind obs.EventKind) bool {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{},                                      // no self
-		{Self: "a:1"},                           // self not in peers
-		{Self: "a:1", Peers: []string{"b:1"}},   // ditto
+		{},                                    // no self
+		{Self: "a:1"},                         // self not in peers
+		{Self: "a:1", Peers: []string{"b:1"}}, // ditto
 		{Self: "a:1", Peers: []string{"a:1"}, LeaseTTL: -time.Second},
 	}
 	for i, cfg := range bad {

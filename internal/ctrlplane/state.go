@@ -1,6 +1,10 @@
 package ctrlplane
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"github.com/reflex-go/reflex/internal/protocol"
+)
 
 // MoveState is the replicated record of an in-flight MoveShard: enough
 // for a follower that wins the lease to resume or roll back the move.
@@ -92,36 +96,36 @@ func (s *State) Apply(e *Entry) {
 
 // marshalState packs the state for an OpCtrlSnapshot frame.
 func marshalState(s *State) []byte {
-	b := appendBytes(nil, s.MapRaw)
+	b := protocol.AppendBytes(nil, s.MapRaw)
 	if s.Move != nil {
-		b = appendU8(b, 1)
-		b = appendU32(b, uint32(s.Move.Shard))
-		b = appendU8(b, s.Move.Phase)
-		b = appendStr(b, s.Move.Src)
-		b = appendStr(b, s.Move.Dest)
+		b = protocol.AppendU8(b, 1)
+		b = protocol.AppendU32(b, uint32(s.Move.Shard))
+		b = protocol.AppendU8(b, s.Move.Phase)
+		b = protocol.AppendStr(b, s.Move.Src)
+		b = protocol.AppendStr(b, s.Move.Dest)
 	} else {
-		b = appendU8(b, 0)
+		b = protocol.AppendU8(b, 0)
 	}
-	b = appendU16(b, uint16(len(s.Peers)))
+	b = protocol.AppendU16(b, uint16(len(s.Peers)))
 	for _, p := range s.Peers {
-		b = appendStr(b, p)
+		b = protocol.AppendStr(b, p)
 	}
 	return b
 }
 
 // parseState unpacks an OpCtrlSnapshot frame's state.
 func parseState(p []byte) (*State, error) {
-	r := wireReader{b: p}
-	s := &State{MapRaw: r.bytes()}
-	if r.u8() != 0 {
-		s.Move = &MoveState{Shard: int32(r.u32()), Phase: r.u8(), Src: r.str(), Dest: r.str()}
+	r := protocol.NewCursor(p, "ctrlplane: snapshot state")
+	s := &State{MapRaw: r.Bytes()}
+	if r.U8() != 0 {
+		s.Move = &MoveState{Shard: int32(r.U32()), Phase: r.U8(), Src: r.Str(), Dest: r.Str()}
 	}
-	n := int(r.u16())
-	for i := 0; i < n && r.err == nil; i++ {
-		s.Peers = append(s.Peers, r.str())
+	n := int(r.U16())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s.Peers = append(s.Peers, r.Str())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return s, nil
 }

@@ -38,148 +38,22 @@
 package ctrlplane
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"net"
-	"time"
 
 	"github.com/reflex-go/reflex/internal/protocol"
 )
 
-// wire encoding helpers: big-endian, length-prefixed strings/bytes —
-// the same shapes as the shard map's wire format.
-
-func appendU8(b []byte, v uint8) []byte  { return append(b, v) }
-func appendU16(b []byte, v uint16) []byte {
-	return binary.BigEndian.AppendUint16(b, v)
-}
-func appendU32(b []byte, v uint32) []byte {
-	return binary.BigEndian.AppendUint32(b, v)
-}
-func appendU64(b []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(b, v)
-}
-func appendStr(b []byte, s string) []byte {
-	b = appendU16(b, uint16(len(s)))
-	return append(b, s...)
-}
-func appendBytes(b, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-// wireReader is a tiny cursor with sticky error handling (the shard
-// map's Unmarshal idiom).
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.err = fmt.Errorf("ctrlplane: truncated payload (%d of %d)", r.off+n, len(r.b))
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-func (r *wireReader) u8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *wireReader) u16() uint16 {
-	p := r.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(p)
-}
-
-func (r *wireReader) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(p)
-}
-
-func (r *wireReader) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
-}
-
-func (r *wireReader) str() string {
-	n := int(r.u16())
-	p := r.take(n)
-	if p == nil {
-		return ""
-	}
-	return string(p)
-}
-
-func (r *wireReader) bytes() []byte {
-	n := int(r.u32())
-	p := r.take(n)
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
-// dialFunc dials one replica address (test seam; nil = net.DialTimeout).
-type dialFunc func(addr string) (net.Conn, error)
-
-// ctrlRequest performs one request/response exchange on a fresh
-// connection, bounded by timeout end to end — the control plane's only
-// client-side transport.
-func ctrlRequest(dial dialFunc, addr string, timeout time.Duration, op protocol.Opcode, payload []byte) ([]byte, error) {
-	var c net.Conn
-	var err error
-	if dial != nil {
-		c, err = dial(addr)
-	} else {
-		c, err = net.DialTimeout("tcp", addr, timeout)
-	}
+// call performs one replica RPC — a protocol.Exchange on a fresh
+// connection, bounded by RPCTimeout — and treats a refusal as an error.
+func (n *Node) call(peer string, op protocol.Opcode, payload []byte) ([]byte, error) {
+	m, err := protocol.Exchange(n.cfg.Dialer, peer, n.cfg.RPCTimeout, &protocol.Header{Opcode: op}, payload)
 	if err != nil {
 		return nil, err
-	}
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(timeout))
-	hdr := protocol.Header{Opcode: op}
-	frame, err := protocol.AppendMessage(nil, &hdr, payload)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Write(frame); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	var m protocol.Message
-	if err := protocol.ReadMessageInto(br, &m, nil); err != nil {
-		return nil, err
-	}
-	if m.Header.Opcode != op || !m.Header.IsResponse() {
-		return nil, fmt.Errorf("ctrlplane: unexpected %s response to %s from %s",
-			m.Header.Opcode, op, addr)
 	}
 	if m.Header.Status != protocol.StatusOK {
-		return nil, fmt.Errorf("ctrlplane: %s at %s refused: %s", op, addr, m.Header.Status)
+		return nil, fmt.Errorf("ctrlplane: %s at %s refused: %s", op, peer, m.Header.Status)
 	}
-	return append([]byte(nil), m.Payload...), nil
+	return m.Payload, nil
 }
 
 // voteReq/voteResp are the OpCtrlVote payloads.
@@ -196,31 +70,31 @@ type voteResp struct {
 }
 
 func (v *voteReq) marshal() []byte {
-	b := appendU64(nil, v.Term)
-	b = appendStr(b, v.Candidate)
-	b = appendU64(b, v.LastIndex)
-	return appendU64(b, v.LastTerm)
+	b := protocol.AppendU64(nil, v.Term)
+	b = protocol.AppendStr(b, v.Candidate)
+	b = protocol.AppendU64(b, v.LastIndex)
+	return protocol.AppendU64(b, v.LastTerm)
 }
 
 func parseVoteReq(p []byte) (*voteReq, error) {
-	r := wireReader{b: p}
-	v := &voteReq{Term: r.u64(), Candidate: r.str(), LastIndex: r.u64(), LastTerm: r.u64()}
-	return v, r.err
+	r := protocol.NewCursor(p, "ctrlplane: vote request")
+	v := &voteReq{Term: r.U64(), Candidate: r.Str(), LastIndex: r.U64(), LastTerm: r.U64()}
+	return v, r.Err()
 }
 
 func (v *voteResp) marshal() []byte {
-	b := appendU64(nil, v.Term)
+	b := protocol.AppendU64(nil, v.Term)
 	g := uint8(0)
 	if v.Granted {
 		g = 1
 	}
-	return appendU8(b, g)
+	return protocol.AppendU8(b, g)
 }
 
 func parseVoteResp(p []byte) (*voteResp, error) {
-	r := wireReader{b: p}
-	v := &voteResp{Term: r.u64(), Granted: r.u8() != 0}
-	return v, r.err
+	r := protocol.NewCursor(p, "ctrlplane: vote response")
+	v := &voteResp{Term: r.U64(), Granted: r.U8() != 0}
+	return v, r.Err()
 }
 
 // appendReq/appendResp are the OpCtrlAppend payloads: heartbeat, lease
@@ -243,12 +117,12 @@ type appendResp struct {
 }
 
 func (a *appendReq) marshal() []byte {
-	b := appendU64(nil, a.Term)
-	b = appendStr(b, a.Leader)
-	b = appendU64(b, a.PrevIndex)
-	b = appendU64(b, a.PrevTerm)
-	b = appendU64(b, a.Commit)
-	b = appendU16(b, uint16(len(a.Entries)))
+	b := protocol.AppendU64(nil, a.Term)
+	b = protocol.AppendStr(b, a.Leader)
+	b = protocol.AppendU64(b, a.PrevIndex)
+	b = protocol.AppendU64(b, a.PrevTerm)
+	b = protocol.AppendU64(b, a.Commit)
+	b = protocol.AppendU16(b, uint16(len(a.Entries)))
 	for i := range a.Entries {
 		b = a.Entries[i].marshal(b)
 	}
@@ -256,30 +130,30 @@ func (a *appendReq) marshal() []byte {
 }
 
 func parseAppendReq(p []byte) (*appendReq, error) {
-	r := wireReader{b: p}
-	a := &appendReq{Term: r.u64(), Leader: r.str(), PrevIndex: r.u64(),
-		PrevTerm: r.u64(), Commit: r.u64()}
-	n := int(r.u16())
-	for i := 0; i < n && r.err == nil; i++ {
+	r := protocol.NewCursor(p, "ctrlplane: append request")
+	a := &appendReq{Term: r.U64(), Leader: r.Str(), PrevIndex: r.U64(),
+		PrevTerm: r.U64(), Commit: r.U64()}
+	n := int(r.U16())
+	for i := 0; i < n && r.Err() == nil; i++ {
 		a.Entries = append(a.Entries, parseEntry(&r))
 	}
-	return a, r.err
+	return a, r.Err()
 }
 
 func (a *appendResp) marshal() []byte {
-	b := appendU64(nil, a.Term)
+	b := protocol.AppendU64(nil, a.Term)
 	ok := uint8(0)
 	if a.OK {
 		ok = 1
 	}
-	b = appendU8(b, ok)
-	return appendU64(b, a.Match)
+	b = protocol.AppendU8(b, ok)
+	return protocol.AppendU64(b, a.Match)
 }
 
 func parseAppendResp(p []byte) (*appendResp, error) {
-	r := wireReader{b: p}
-	a := &appendResp{Term: r.u64(), OK: r.u8() != 0, Match: r.u64()}
-	return a, r.err
+	r := protocol.NewCursor(p, "ctrlplane: append response")
+	a := &appendResp{Term: r.U64(), OK: r.U8() != 0, Match: r.U64()}
+	return a, r.Err()
 }
 
 // snapReq/snapResp are the OpCtrlSnapshot payloads: the whole state at
@@ -298,31 +172,31 @@ type snapResp struct {
 }
 
 func (s *snapReq) marshal() []byte {
-	b := appendU64(nil, s.Term)
-	b = appendStr(b, s.Leader)
-	b = appendU64(b, s.SnapIndex)
-	b = appendU64(b, s.SnapTerm)
-	return appendBytes(b, s.State)
+	b := protocol.AppendU64(nil, s.Term)
+	b = protocol.AppendStr(b, s.Leader)
+	b = protocol.AppendU64(b, s.SnapIndex)
+	b = protocol.AppendU64(b, s.SnapTerm)
+	return protocol.AppendBytes(b, s.State)
 }
 
 func parseSnapReq(p []byte) (*snapReq, error) {
-	r := wireReader{b: p}
-	s := &snapReq{Term: r.u64(), Leader: r.str(), SnapIndex: r.u64(),
-		SnapTerm: r.u64(), State: r.bytes()}
-	return s, r.err
+	r := protocol.NewCursor(p, "ctrlplane: snapshot request")
+	s := &snapReq{Term: r.U64(), Leader: r.Str(), SnapIndex: r.U64(),
+		SnapTerm: r.U64(), State: r.Bytes()}
+	return s, r.Err()
 }
 
 func (s *snapResp) marshal() []byte {
-	b := appendU64(nil, s.Term)
+	b := protocol.AppendU64(nil, s.Term)
 	ok := uint8(0)
 	if s.OK {
 		ok = 1
 	}
-	return appendU8(b, ok)
+	return protocol.AppendU8(b, ok)
 }
 
 func parseSnapResp(p []byte) (*snapResp, error) {
-	r := wireReader{b: p}
-	s := &snapResp{Term: r.u64(), OK: r.u8() != 0}
-	return s, r.err
+	r := protocol.NewCursor(p, "ctrlplane: snapshot response")
+	s := &snapResp{Term: r.U64(), OK: r.U8() != 0}
+	return s, r.Err()
 }

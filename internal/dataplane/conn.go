@@ -15,10 +15,7 @@ type Conn struct {
 	srv    *Server
 	tenant *core.Tenant
 	client *netsim.Endpoint
-
-	inflight map[*ioRequest]func(lat sim.Time)
-	issued   map[*ioRequest]sim.Time
-	closed   bool
+	closed bool
 }
 
 // thread resolves the tenant's current thread; connections follow their
@@ -37,12 +34,10 @@ func (s *Server) Connect(client *netsim.Endpoint, tenant *core.Tenant) *Conn {
 	s.nextConn++
 	s.threads[ti].conns++
 	c := &Conn{
-		id:       s.nextConn,
-		srv:      s,
-		tenant:   tenant,
-		client:   client,
-		inflight: make(map[*ioRequest]func(sim.Time)),
-		issued:   make(map[*ioRequest]sim.Time),
+		id:     s.nextConn,
+		srv:    s,
+		tenant: tenant,
+		client: client,
 	}
 	if s.conns == nil {
 		s.conns = make(map[*Conn]struct{})
@@ -86,16 +81,12 @@ func (c *Conn) issue(op core.OpType, block uint64, size int, done func(lat sim.T
 	if c.closed {
 		panic("dataplane: I/O on closed connection")
 	}
-	r := &ioRequest{conn: c, op: op, blk: block, size: size}
+	r := &ioRequest{conn: c, op: op, blk: block, size: size, issued: c.srv.eng.Now(), done: done}
 	c.srv.reqSeq++
 	r.span.ID = c.srv.reqSeq
 	r.span.Tenant = c.tenant.ID
 	r.span.Write = op == core.OpWrite
 	r.span.Size = size
-	if done != nil {
-		c.inflight[r] = done
-	}
-	c.issued[r] = c.srv.eng.Now()
 	wire := ReqHeaderBytes
 	if op == core.OpWrite {
 		wire += size
@@ -114,11 +105,11 @@ func (c *Conn) respond(r *ioRequest) {
 		wire += r.size // shed responses carry no payload
 	}
 	c.srv.endpoint.Send(c.client, wire, func(at sim.Time) {
-		start := c.issued[r]
-		delete(c.issued, r)
-		if done, ok := c.inflight[r]; ok {
-			delete(c.inflight, r)
-			done(at - start)
+		// A duplicated message (netsim fault) lands here twice; only the
+		// first copy completes the request.
+		if done := r.done; done != nil {
+			r.done = nil
+			done(at - r.issued)
 		}
 	})
 }

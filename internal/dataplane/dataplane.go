@@ -230,11 +230,8 @@ func NewServerOn(eng *sim.Engine, net *netsim.Network, endpoint *netsim.Endpoint
 		s.cache = c
 	}
 	for i := 0; i < cfg.Threads; i++ {
-		th := &thread{
-			srv:  s,
-			id:   i,
-			core: sim.NewResource(eng, fmt.Sprintf("reflex/core%d", i)),
-		}
+		th := &thread{srv: s, id: i}
+		th.poll = sim.NewPoller(eng, sim.NewResource(eng, fmt.Sprintf("reflex/core%d", i)), th.pass, th.again)
 		th.sched = core.NewScheduler(s.model, i, s.shared)
 		th.sched.ReadOnlyProbe = dev.ReadOnlyMode
 		s.threads = append(s.threads, th)
@@ -360,7 +357,7 @@ func (s *Server) Pending() int {
 func (s *Server) CoreUtilization() float64 {
 	var u float64
 	for _, th := range s.threads {
-		u += th.core.Utilization()
+		u += th.poll.Core.Utilization()
 	}
 	return u / float64(len(s.threads))
 }
@@ -389,10 +386,4 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// ShedActive reports whether the graceful-overload signal is currently
-// refusing best-effort work.
-func (s *Server) ShedActive() bool {
-	return s.shedder != nil && s.shedder.Active()
 }

@@ -115,7 +115,7 @@ func (s *Server) Rebalance() int {
 func (s *Server) ThreadLoads() []float64 {
 	out := make([]float64, len(s.threads))
 	for i, th := range s.threads {
-		out[i] = th.core.Utilization()
+		out[i] = th.poll.Core.Utilization()
 	}
 	return out
 }
@@ -125,7 +125,7 @@ func (s *Server) ThreadLoads() []float64 {
 func (s *Server) ThreadBusy() []sim.Time {
 	out := make([]sim.Time, len(s.threads))
 	for i, th := range s.threads {
-		out[i] = th.core.BusyTime()
+		out[i] = th.poll.Core.BusyTime()
 	}
 	return out
 }

@@ -47,7 +47,7 @@ func (s *Server) initTelemetry() {
 		reg.GaugeFunc("dp_cq_queue_depth", "flash completions awaiting transmission",
 			func() float64 { return float64(len(th.cqQ)) }, lbl)
 		reg.GaugeFunc("dp_core_utilization", "dataplane core utilization since start",
-			th.core.Utilization, lbl)
+			th.poll.Core.Utilization, lbl)
 		core.RegisterSchedulerMetrics(reg, th.sched, lbl)
 	}
 	core.RegisterSharedMetrics(reg, s.shared)

@@ -29,13 +29,18 @@ type ioRequest struct {
 	// stages allocates nothing). It is copied into the server's trace ring
 	// when the response is transmitted.
 	span obs.Span
+	// issued and done are the client side of the request: when it left the
+	// application and whom to tell (nil for fire-and-forget) once the
+	// response lands.
+	issued sim.Time
+	done   func(lat sim.Time)
 }
 
 // thread is one dataplane core with exclusive network and NVMe queues.
 type thread struct {
 	srv   *Server
 	id    int
-	core  *sim.Resource
+	poll  *sim.Poller
 	sched *core.Scheduler
 
 	rxQ []*ioRequest // arrived, not yet processed
@@ -47,7 +52,6 @@ type thread struct {
 	tenants int
 	conns   int
 
-	running   bool
 	tickArmed bool
 	// blocked is set while the thread waits on a Flash access in the
 	// monolithic BlockingModel ablation.
@@ -104,22 +108,15 @@ func (th *thread) complete(r *ioRequest) {
 	th.kick()
 }
 
-// kick starts a processing pass unless one is already queued. The thread
-// polls its queues; in the simulator an idle thread simply has no pending
-// events instead of spinning.
-func (th *thread) kick() {
-	if th.running {
-		return
-	}
-	th.running = true
-	th.srv.eng.After(0, th.pass)
-}
+// kick starts a processing pass unless one is already queued.
+func (th *thread) kick() { th.poll.Kick() }
 
-// pass is one iteration of the two-step run-to-completion loop (Fig. 2):
-// drain a bounded batch of arrivals through parse+schedule+submit, then a
-// bounded batch of completions through event+send. Batch sizes adapt to
-// whatever accumulated while the core was busy, capped at MaxBatch.
-func (th *thread) pass() {
+// pass is one iteration of the two-step run-to-completion loop (Fig. 2),
+// run on the shared sim.Poller: drain a bounded batch of arrivals through
+// parse+schedule+submit, then a bounded batch of completions through
+// event+send. Batch sizes adapt to whatever accumulated while the core was
+// busy, capped at MaxBatch.
+func (th *thread) pass() bool {
 	cfg := &th.srv.cfg
 	inflate := th.cpuFactor()
 	cost := func(c sim.Time) sim.Time { return sim.Time(float64(c) * inflate) }
@@ -127,8 +124,7 @@ func (th *thread) pass() {
 	if th.blocked {
 		// Monolithic model: nothing happens until the outstanding Flash
 		// access completes.
-		th.running = false
-		return
+		return false
 	}
 
 	// Feed the graceful-overload signal once per pass (hysteresis lives in
@@ -138,23 +134,20 @@ func (th *thread) pass() {
 	}
 
 	// Step 1: network receive -> tenant queues.
-	nrx := len(th.rxQ)
-	if nrx > cfg.MaxBatch {
-		nrx = cfg.MaxBatch
+	rxBudget := cfg.MaxBatch
+	if cfg.BlockingModel {
+		rxBudget = 1
 	}
-	if cfg.BlockingModel && nrx > 1 {
-		nrx = 1
-	}
+	batch := sim.Take(&th.rxQ, rxBudget)
+	nrx := len(batch)
 	if nrx > 0 {
-		batch := th.rxQ[:nrx:nrx]
-		th.rxQ = append([]*ioRequest(nil), th.rxQ[nrx:]...)
 		th.batches++
 		if nrx > th.maxBatch {
 			th.maxBatch = nrx
 		}
 		for _, r := range batch {
 			r := r
-			th.core.Schedule(cost(cfg.RxCost), func(sim.Time) {
+			th.poll.Core.Schedule(cost(cfg.RxCost), func(sim.Time) {
 				th.requests++
 				r.span.Mark(obs.StageParse, th.srv.eng.Now())
 				if sh := th.srv.shedder; sh != nil && sh.Active() &&
@@ -164,7 +157,7 @@ func (th *thread) pass() {
 					// shed — admission control reserved their capacity.
 					r.shed = true
 					th.shed++
-					th.core.Schedule(cost(cfg.TxCost), func(sim.Time) {
+					th.poll.Core.Schedule(cost(cfg.TxCost), func(sim.Time) {
 						r.conn.respond(r)
 					})
 					return
@@ -192,7 +185,7 @@ func (th *thread) pass() {
 						return
 					}
 					// Figure 5 "I/O sched disabled": straight to the device.
-					th.core.Schedule(cost(cfg.SubmitCost), func(sim.Time) {
+					th.poll.Core.Schedule(cost(cfg.SubmitCost), func(sim.Time) {
 						th.submit(r)
 					})
 					return
@@ -221,7 +214,7 @@ func (th *thread) pass() {
 		r := th.ready[0]
 		th.ready = th.ready[1:]
 		th.blocked = true
-		th.core.Schedule(cost(cfg.SubmitCost), func(sim.Time) {
+		th.poll.Core.Schedule(cost(cfg.SubmitCost), func(sim.Time) {
 			th.submit(r)
 		})
 	}
@@ -230,11 +223,11 @@ func (th *thread) pass() {
 	// request work exists; token accrual catches up on the next round.
 	if !cfg.DisableQoS && (nrx > 0 || th.sched.Pending() > 0) {
 		roundCost := cfg.SchedFixed + cfg.SchedPerTenant*sim.Time(th.tenants)
-		th.core.Schedule(cost(roundCost), func(end sim.Time) {
+		th.poll.Core.Schedule(cost(roundCost), func(end sim.Time) {
 			th.sched.Schedule(th.srv.eng.Now(), func(cr *core.Request) {
 				r := cr.Context.(*ioRequest)
 				r.span.Mark(obs.StageAdmit, th.srv.eng.Now())
-				th.core.Schedule(cost(cfg.SubmitCost+cfg.SchedPerReq), func(sim.Time) {
+				th.poll.Core.Schedule(cost(cfg.SubmitCost+cfg.SchedPerReq), func(sim.Time) {
 					th.submit(r)
 				})
 			})
@@ -242,33 +235,25 @@ func (th *thread) pass() {
 	}
 
 	// Step 2: flash completion -> response transmission.
-	ncq := len(th.cqQ)
-	if ncq > cfg.MaxBatch {
-		ncq = cfg.MaxBatch
+	for _, r := range sim.Take(&th.cqQ, cfg.MaxBatch) {
+		r := r
+		th.poll.Core.Schedule(cost(cfg.CqeCost+cfg.TxCost), func(sim.Time) {
+			r.conn.respond(r)
+		})
 	}
-	if ncq > 0 {
-		batch := th.cqQ[:ncq:ncq]
-		th.cqQ = append([]*ioRequest(nil), th.cqQ[ncq:]...)
-		for _, r := range batch {
-			r := r
-			th.core.Schedule(cost(cfg.CqeCost+cfg.TxCost), func(sim.Time) {
-				r.conn.respond(r)
-			})
-		}
-	}
+	return true
+}
 
-	// Close the pass: decide whether to run again immediately, wait for a
-	// scheduler tick, or go idle.
-	th.core.Schedule(0, func(sim.Time) {
-		th.running = false
-		if len(th.rxQ) > 0 || len(th.cqQ) > 0 || (len(th.ready) > 0 && !th.blocked) {
-			th.kick()
-			return
-		}
-		if !cfg.DisableQoS && th.sched.Pending() > 0 {
-			th.armTick()
-		}
-	})
+// again closes a pass: run again immediately, wait for a scheduler tick,
+// or go idle.
+func (th *thread) again() bool {
+	if len(th.rxQ) > 0 || len(th.cqQ) > 0 || (len(th.ready) > 0 && !th.blocked) {
+		return true
+	}
+	if !th.srv.cfg.DisableQoS && th.sched.Pending() > 0 {
+		th.armTick()
+	}
+	return false
 }
 
 // armTick schedules a future scheduling round for requests waiting on
@@ -300,17 +285,13 @@ func (th *thread) submit(r *ioRequest) {
 	if th.srv.cfg.BlockingModel {
 		th.blocked = true
 	}
-	op := flashsim.OpRead
-	if r.op == core.OpWrite {
-		op = flashsim.OpWrite
-	}
 	stream := 0
 	if th.srv.cfg.StreamByClass && r.op == core.OpWrite &&
 		r.conn.tenant.Class == core.BestEffort {
 		stream = 1
 	}
 	th.srv.dev.Submit(&flashsim.Request{
-		Op:     op,
+		Op:     flashsim.OpFor(r.op),
 		Block:  r.blk,
 		Size:   r.size,
 		Stream: stream,

@@ -25,6 +25,7 @@ package flashsim
 import (
 	"fmt"
 
+	"github.com/reflex-go/reflex/internal/core"
 	"github.com/reflex-go/reflex/internal/faults"
 	"github.com/reflex-go/reflex/internal/sim"
 )
@@ -38,6 +39,14 @@ const (
 	// OpWrite is a logical block write.
 	OpWrite
 )
+
+// OpFor maps the scheduler's operation type onto the device's.
+func OpFor(op core.OpType) Op {
+	if op == core.OpWrite {
+		return OpWrite
+	}
+	return OpRead
+}
 
 // String returns "read" or "write".
 func (o Op) String() string {
@@ -485,10 +494,6 @@ func (d *Device) BusyChannels() int {
 
 // Channels returns the number of channels.
 func (d *Device) Channels() int { return len(d.channels) }
-
-// PendingProgram returns the background program backlog in nanoseconds of
-// channel occupancy, summed across channels (the write-buffer pressure).
-func (d *Device) PendingProgram() sim.Time { return d.pendingProg }
 
 // MaxChannelBacklog returns the largest per-channel booking horizon — how
 // far ahead of the clock the busiest channel is committed.

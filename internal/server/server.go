@@ -112,10 +112,8 @@ type Config struct {
 	// aggregate token debt or connection count crosses its limit, new
 	// best-effort I/O is refused with StatusOverloaded. Latency-critical
 	// tenants are never shed. Zero-valued fields pick defaults (queue
-	// high watermark at 3/4 of the per-core ring capacity); set
-	// ShedDisabled to turn shedding off entirely.
-	Shed         ctrl.ShedConfig
-	ShedDisabled bool
+	// high watermark at 3/4 of the per-core ring capacity).
+	Shed ctrl.ShedConfig
 
 	// CacheBytes enables the tiered DRAM read cache (internal/readcache,
 	// DESIGN.md §17) in front of every device: capacity in bytes, rounded
@@ -222,7 +220,7 @@ type Server struct {
 	// registry plus the per-request span trace ring.
 	m *metrics
 	// shed is the graceful load-shed signal consulted on every
-	// best-effort I/O; nil when shedding is disabled.
+	// best-effort I/O.
 	shed *ctrl.Shedder
 	// cache is the tiered DRAM read cache (nil when disabled). Probed at
 	// dispatch, filled on aligned 4KB read completions, invalidated by
@@ -391,9 +389,7 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 		conns:     make(map[*srvConn]struct{}),
 		unregKick: make(chan struct{}, 1),
 		done:      make(chan struct{}),
-	}
-	if !cfg.ShedDisabled {
-		s.shed = ctrl.NewShedder(cfg.Shed)
+		shed:      ctrl.NewShedder(cfg.Shed),
 	}
 	s.epoch.Store(uint32(cfg.Epoch))
 	s.backupRole.Store(cfg.BackupRole)
@@ -650,7 +646,7 @@ func (s *Server) reaperLoop() {
 // (published by the cores after each round), and the live connection
 // count — all read through atomics; the shed decision takes no lock.
 func (s *Server) shedNow(ten *stenant) bool {
-	if s.shed == nil || ten.t.Class != core.BestEffort {
+	if ten.t.Class != core.BestEffort {
 		return false
 	}
 	var debt core.Tokens

@@ -163,8 +163,3 @@ func (s *Server) joinMigration(sc *srvConn, firstLBA, blockCount uint32) {
 	sc.attach(s.migr.AttachRange(sc, firstLBA, blockCount).(attachment))
 	s.m.migrJoins.Inc()
 }
-
-// MigrationPending returns the number of migration forwards awaiting a
-// sink ack — the coordinator's post-cutover drain signal (served over
-// OpPing in the response LBA).
-func (s *Server) MigrationPending() int { return s.migr.Pending() }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/reflex-go/reflex/internal/core"
 	"github.com/reflex-go/reflex/internal/obs"
+	"github.com/reflex-go/reflex/internal/protocol"
 )
 
 // EditKind classifies a coordinator map edit for the replicated control
@@ -82,7 +83,7 @@ type CoordinatorConfig struct {
 	// Logf receives control-plane decisions (nil = silent).
 	Logf func(format string, args ...any)
 	// Dialer is the control-plane dial seam (nil: net.DialTimeout).
-	Dialer dialFunc
+	Dialer protocol.DialFunc
 	// Commit, when set, must durably commit the edit record before the
 	// coordinator swaps the result in as authoritative and installs it —
 	// the replicated control plane routes every edit through its quorum
@@ -228,7 +229,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-func firstDialer(ds ...dialFunc) dialFunc {
+func firstDialer(ds ...protocol.DialFunc) protocol.DialFunc {
 	for _, d := range ds {
 		if d != nil {
 			return d

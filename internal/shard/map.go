@@ -3,6 +3,8 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/reflex-go/reflex/internal/protocol"
 )
 
 // MemberState is the SWIM-lite health state of a node as seen by the
@@ -229,29 +231,29 @@ func (m *Map) Marshal() []byte {
 // Unmarshal parses a marshaled map. It validates lengths defensively —
 // the payload arrives off the wire.
 func Unmarshal(b []byte) (*Map, error) {
-	rd := wireReader{b: b}
+	rd := protocol.NewCursor(b, "shard: map")
 	m := &Map{}
-	m.Version = rd.u32()
-	m.ShardBlocks = rd.u32()
-	nNodes := int(rd.u16())
-	if rd.err == nil && nNodes > maxNodes {
+	m.Version = rd.U32()
+	m.ShardBlocks = rd.U32()
+	nNodes := int(rd.U16())
+	if rd.Err() == nil && nNodes > maxNodes {
 		return nil, fmt.Errorf("shard: map has %d nodes (max %d)", nNodes, maxNodes)
 	}
-	for i := 0; i < nNodes && rd.err == nil; i++ {
+	for i := 0; i < nNodes && rd.Err() == nil; i++ {
 		var nd Node
-		nd.State = MemberState(rd.u8())
-		nd.Name = string(rd.bytes(int(rd.u8())))
-		nAddrs := int(rd.u8())
-		for a := 0; a < nAddrs && rd.err == nil; a++ {
-			nd.Addrs = append(nd.Addrs, string(rd.bytes(int(rd.u16()))))
+		nd.State = MemberState(rd.U8())
+		nd.Name = string(rd.Take(int(rd.U8())))
+		nAddrs := int(rd.U8())
+		for a := 0; a < nAddrs && rd.Err() == nil; a++ {
+			nd.Addrs = append(nd.Addrs, rd.Str())
 		}
 		m.Nodes = append(m.Nodes, nd)
 	}
-	nShards := int(rd.u32())
-	if rd.err == nil {
+	nShards := int(rd.U32())
+	if rd.Err() == nil {
 		// Each shard costs 4 bytes; bound by what's actually left.
-		if nShards < 0 || nShards*4 > len(rd.b)-rd.off {
-			return nil, fmt.Errorf("shard: map truncated: %d shards, %d bytes left", nShards, len(rd.b)-rd.off)
+		if nShards < 0 || nShards > rd.Remaining()/4 {
+			return nil, fmt.Errorf("shard: map truncated: %d shards, %d bytes left", nShards, rd.Remaining())
 		}
 	}
 	deref := func(v uint16) int32 {
@@ -260,15 +262,15 @@ func Unmarshal(b []byte) (*Map, error) {
 		}
 		return int32(v)
 	}
-	for s := 0; s < nShards && rd.err == nil; s++ {
-		m.Assign = append(m.Assign, deref(rd.u16()))
-		m.Migrating = append(m.Migrating, deref(rd.u16()))
+	for s := 0; s < nShards && rd.Err() == nil; s++ {
+		m.Assign = append(m.Assign, deref(rd.U16()))
+		m.Migrating = append(m.Migrating, deref(rd.U16()))
 	}
-	if rd.err != nil {
-		return nil, rd.err
+	if rd.Err() != nil {
+		return nil, rd.Err()
 	}
-	if rd.off != len(rd.b) {
-		return nil, fmt.Errorf("shard: map has %d trailing bytes", len(rd.b)-rd.off)
+	if rd.Remaining() != 0 {
+		return nil, fmt.Errorf("shard: map has %d trailing bytes", rd.Remaining())
 	}
 	for s := range m.Assign {
 		if m.Assign[s] >= int32(len(m.Nodes)) || m.Migrating[s] >= int32(len(m.Nodes)) {
@@ -277,52 +279,6 @@ func Unmarshal(b []byte) (*Map, error) {
 	}
 	return m, nil
 }
-
-// wireReader is a tiny cursor with sticky error handling.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = fmt.Errorf("shard: map truncated at offset %d (want %d bytes, have %d)", r.off, n, len(r.b)-r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *wireReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *wireReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *wireReader) bytes(n int) []byte { return r.take(n) }
 
 // BuildMap constructs a version-1 map placing numShards shards of
 // shardBlocks LBA blocks each over the given nodes using a consistent-

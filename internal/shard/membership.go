@@ -35,7 +35,7 @@ type MembershipConfig struct {
 	// dead primary. The latch re-arms when the dead address recovers.
 	OnPrimaryDown func(node string)
 	// Dialer is the probe dial seam (nil: net.DialTimeout).
-	Dialer dialFunc
+	Dialer protocol.DialFunc
 }
 
 func (c *MembershipConfig) fill() {

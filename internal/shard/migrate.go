@@ -457,12 +457,7 @@ func (c *Coordinator) startSink(srcAddr string, destAddrs []string, firstLBA, bl
 		return nil, fmt.Errorf("register at destination: %w", err)
 	}
 
-	var src net.Conn
-	if c.cfg.Dialer != nil {
-		src, err = c.cfg.Dialer(srcAddr)
-	} else {
-		src, err = net.DialTimeout("tcp", srcAddr, c.cfg.InstallTimeout)
-	}
+	src, err := c.cfg.dial(srcAddr, c.cfg.InstallTimeout)
 	if err != nil {
 		dst.Close()
 		return nil, fmt.Errorf("dial source: %w", err)

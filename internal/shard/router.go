@@ -39,16 +39,8 @@ type RouterConfig struct {
 	// talks to (the cluster tenant: same LBA window everywhere, the shard
 	// map — not the registration ACL — decides who serves what).
 	Reg protocol.Registration
-	// RegForNode optionally specialises Reg per node — the hook for
-	// Coordinator.RatesForSLO's per-node IOPS splits.
-	RegForNode func(node string, reg protocol.Registration) protocol.Registration
 	// Opts configures every per-node DialCluster pool.
 	Opts client.Options
-	// MaxRedirects bounds StatusWrongShard-driven retries per operation
-	// (default 4).
-	MaxRedirects int
-	// FetchTimeout bounds one map-fetch exchange (default 5s).
-	FetchTimeout time.Duration
 	// Metrics optionally receives router_map_version, router_redirects
 	// and router_map_refreshes.
 	Metrics *obs.Registry
@@ -58,8 +50,15 @@ type RouterConfig struct {
 	Trace     bool
 	TraceRing *obs.Ring
 	// Dialer is the map-fetch dial seam (nil: net.DialTimeout).
-	Dialer dialFunc
+	Dialer protocol.DialFunc
 }
+
+const (
+	// maxRedirects bounds StatusWrongShard-driven retries per operation.
+	maxRedirects = 4
+	// fetchTimeout bounds one map-fetch exchange.
+	fetchTimeout = 5 * time.Second
+)
 
 // Router is the client-side shard routing table (DESIGN.md §13): it
 // holds the latest shard map it has seen, keeps one DialCluster pool per
@@ -98,12 +97,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg.Seeds = dedupeTargets(cfg.Seeds)
 	if len(cfg.Seeds) == 0 {
 		return nil, fmt.Errorf("%w: seed list empty", ErrNoTargets)
-	}
-	if cfg.MaxRedirects <= 0 {
-		cfg.MaxRedirects = 4
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 5 * time.Second
 	}
 	r := &Router{cfg: cfg, pools: make(map[string]*routerPool)}
 	if cfg.Metrics != nil {
@@ -169,7 +162,7 @@ func (r *Router) Refresh(staleVersion uint32) (*Map, error) {
 	var best *Map
 	var lastErr error
 	for _, a := range addrs {
-		m, err := fetchMap(r.cfg.Dialer, a, r.cfg.FetchTimeout)
+		m, err := fetchMap(r.cfg.Dialer, a, fetchTimeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -251,11 +244,7 @@ func (r *Router) pool(m *Map, ni int) (*routerPool, error) {
 			return
 		}
 		cl.SetShardVersion(m.Version)
-		reg := r.cfg.Reg
-		if r.cfg.RegForNode != nil {
-			reg = r.cfg.RegForNode(name, reg)
-		}
-		h, err := cl.Register(reg)
+		h, err := cl.Register(r.cfg.Reg)
 		if err != nil {
 			cl.Close()
 			p.err = fmt.Errorf("shard: register on node %s: %w", name, err)
@@ -280,7 +269,7 @@ func (r *Router) pool(m *Map, ni int) (*routerPool, error) {
 // wrong-shard redirects through map refreshes up to the retry budget.
 func (r *Router) route(lba uint32, blocks uint32, op func(p *routerPool) error) error {
 	var lastVer uint32
-	for attempt := 0; attempt <= r.cfg.MaxRedirects; attempt++ {
+	for attempt := 0; attempt <= maxRedirects; attempt++ {
 		m := r.Map()
 		if m == nil {
 			var err error
@@ -316,7 +305,7 @@ func (r *Router) route(lba uint32, blocks uint32, op func(p *routerPool) error) 
 			return err
 		}
 	}
-	return fmt.Errorf("%w after %d attempts (last map v%d)", ErrRedirectLoop, r.cfg.MaxRedirects+1, lastVer)
+	return fmt.Errorf("%w after %d attempts (last map v%d)", ErrRedirectLoop, maxRedirects+1, lastVer)
 }
 
 func blocksFor(n int) uint32 {

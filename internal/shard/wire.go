@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -10,54 +9,16 @@ import (
 )
 
 // Raw wire helpers: the control plane (membership probes, map installs,
-// promotion, drain polling) speaks one-shot protocol exchanges over
+// promotion, drain polling) speaks one-shot protocol.Exchange calls over
 // short-lived TCP connections instead of holding client pools — control
 // traffic is rare and the simplicity keeps the coordinator dependency-
 // free of the data-path client.
-
-// dialFunc dials one address (test seam; nil selects net.Dial with the
-// probe timeout).
-type dialFunc func(addr string) (net.Conn, error)
 
 func (c *CoordinatorConfig) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if c.Dialer != nil {
 		return c.Dialer(addr)
 	}
 	return net.DialTimeout("tcp", addr, timeout)
-}
-
-// rawRequest performs one request/response exchange on a fresh
-// connection to addr, bounded by timeout end to end.
-func rawRequest(dial dialFunc, addr string, timeout time.Duration, hdr *protocol.Header, payload []byte) (*protocol.Message, error) {
-	var c net.Conn
-	var err error
-	if dial != nil {
-		c, err = dial(addr)
-	} else {
-		c, err = net.DialTimeout("tcp", addr, timeout)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(timeout))
-	frame, err := protocol.AppendMessage(nil, hdr, payload)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Write(frame); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	var m protocol.Message
-	if err := protocol.ReadMessageInto(br, &m, nil); err != nil {
-		return nil, err
-	}
-	if m.Header.Opcode != hdr.Opcode || !m.Header.IsResponse() {
-		return nil, fmt.Errorf("shard: unexpected %s response to %s from %s",
-			m.Header.Opcode, hdr.Opcode, addr)
-	}
-	return &m, nil
 }
 
 // probeResult is one OpPing exchange's outcome.
@@ -69,8 +30,8 @@ type probeResult struct {
 }
 
 // probe pings addr once.
-func probe(dial dialFunc, addr string, timeout time.Duration) probeResult {
-	m, err := rawRequest(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpPing}, nil)
+func probe(dial protocol.DialFunc, addr string, timeout time.Duration) probeResult {
+	m, err := protocol.Exchange(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpPing}, nil)
 	if err != nil {
 		return probeResult{err: err}
 	}
@@ -80,8 +41,8 @@ func probe(dial dialFunc, addr string, timeout time.Duration) probeResult {
 // installMap offers a marshaled map to addr, returning the node's
 // resulting version. StatusStaleEpoch (the node already holds a newer
 // map) is not an error here — the caller compares versions.
-func installMap(dial dialFunc, addr string, timeout time.Duration, raw []byte) (uint32, error) {
-	m, err := rawRequest(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpShardMap}, raw)
+func installMap(dial protocol.DialFunc, addr string, timeout time.Duration, raw []byte) (uint32, error) {
+	m, err := protocol.Exchange(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpShardMap}, raw)
 	if err != nil {
 		return 0, err
 	}
@@ -93,8 +54,8 @@ func installMap(dial dialFunc, addr string, timeout time.Duration, raw []byte) (
 
 // fetchMap retrieves addr's installed shard map, or (nil, nil) when the
 // node holds none yet.
-func fetchMap(dial dialFunc, addr string, timeout time.Duration) (*Map, error) {
-	m, err := rawRequest(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpShardMap}, nil)
+func fetchMap(dial protocol.DialFunc, addr string, timeout time.Duration) (*Map, error) {
+	m, err := protocol.Exchange(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpShardMap}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +70,8 @@ func fetchMap(dial dialFunc, addr string, timeout time.Duration) (*Map, error) {
 
 // fetchMapVersion retrieves just the version of addr's installed map
 // (0 when none) without parsing the payload — the anti-entropy probe.
-func fetchMapVersion(dial dialFunc, addr string, timeout time.Duration) (uint32, error) {
-	m, err := rawRequest(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpShardMap}, nil)
+func fetchMapVersion(dial protocol.DialFunc, addr string, timeout time.Duration) (uint32, error) {
+	m, err := protocol.Exchange(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpShardMap}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -121,8 +82,8 @@ func fetchMapVersion(dial dialFunc, addr string, timeout time.Duration) (uint32,
 }
 
 // promote asks addr to serve as primary at epoch e.
-func promote(dial dialFunc, addr string, timeout time.Duration, e uint16) (uint16, error) {
-	m, err := rawRequest(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpPromote, Epoch: e}, nil)
+func promote(dial protocol.DialFunc, addr string, timeout time.Duration, e uint16) (uint16, error) {
+	m, err := protocol.Exchange(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpPromote, Epoch: e}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -133,6 +94,6 @@ func promote(dial dialFunc, addr string, timeout time.Duration, e uint16) (uint1
 }
 
 // fence tells addr that epoch e exists (best-effort split-brain guard).
-func fence(dial dialFunc, addr string, timeout time.Duration, e uint16) {
-	rawRequest(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpFence, Epoch: e}, nil)
+func fence(dial protocol.DialFunc, addr string, timeout time.Duration, e uint16) {
+	protocol.Exchange(dial, addr, timeout, &protocol.Header{Opcode: protocol.OpFence, Epoch: e}, nil)
 }

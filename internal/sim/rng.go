@@ -42,6 +42,3 @@ func (g *RNG) NewZipf(s float64, n uint64) *rand.Zipf {
 
 // Perm returns a deterministic pseudo-random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomly shuffles n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -3,6 +3,8 @@ package volume
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/reflex-go/reflex/internal/protocol"
 )
 
 // Image is a volume's complete extent-map state as pure data — the unit
@@ -130,41 +132,41 @@ const maxImageEnts = 1 << 24
 // names and non-ascending layer generations are all errors.
 func UnmarshalImage(b []byte) (Image, error) {
 	var img Image
-	r := reader{b: b}
-	if m := r.u32(); m != imageMagic {
+	r := protocol.NewCursor(b, "volume: image")
+	if m := r.U32(); m != imageMagic {
 		return img, fmt.Errorf("volume: bad image magic %#x", m)
 	}
-	if v := r.u16(); v != imageVersion {
+	if v := r.U16(); v != imageVersion {
 		return img, fmt.Errorf("volume: unsupported image version %d", v)
 	}
-	nameLen := int(r.u16())
-	name := r.bytes(nameLen)
-	if r.err != nil {
-		return img, r.err
+	nameLen := int(r.U16())
+	name := r.Take(nameLen)
+	if r.Err() != nil {
+		return img, r.Err()
 	}
 	if nameLen == 0 || nameLen > 255 {
 		return img, fmt.Errorf("volume: bad image name length %d", nameLen)
 	}
 	img.Name = string(name)
-	img.Blocks = r.u64()
-	img.ExtentBlocks = r.u32()
-	img.Gen = r.u64()
-	if r.err == nil && (img.Blocks == 0 || img.ExtentBlocks == 0) {
+	img.Blocks = r.U64()
+	img.ExtentBlocks = r.U32()
+	img.Gen = r.U64()
+	if r.Err() == nil && (img.Blocks == 0 || img.ExtentBlocks == 0) {
 		return img, fmt.Errorf("volume: zero size in image")
 	}
-	nLayers := int(r.u32())
-	if r.err != nil {
-		return img, r.err
+	nLayers := int(r.U32())
+	if r.Err() != nil {
+		return img, r.Err()
 	}
 	if nLayers == 0 || nLayers > maxImageEnts {
 		return img, fmt.Errorf("volume: bad layer count %d", nLayers)
 	}
 	prevGen := uint64(0)
 	for i := 0; i < nLayers; i++ {
-		gen := r.u64()
-		nEnts := int(r.u32())
-		if r.err != nil {
-			return img, r.err
+		gen := r.U64()
+		nEnts := int(r.U32())
+		if r.Err() != nil {
+			return img, r.Err()
 		}
 		if gen <= prevGen && i > 0 {
 			return img, fmt.Errorf("volume: layer generations not ascending (%d after %d)", gen, prevGen)
@@ -176,10 +178,10 @@ func UnmarshalImage(b []byte) (Image, error) {
 		li := LayerImage{Gen: gen, Ents: make([]Extent, 0, min(nEnts, 4096))}
 		prevLog := int64(-1)
 		for j := 0; j < nEnts; j++ {
-			log := r.u32()
-			phys := r.u32()
-			if r.err != nil {
-				return img, r.err
+			log := r.U32()
+			phys := r.U32()
+			if r.Err() != nil {
+				return img, r.Err()
 			}
 			if int64(log) <= prevLog {
 				return img, fmt.Errorf("volume: layer %d entries not strictly sorted at %d", gen, log)
@@ -192,18 +194,18 @@ func UnmarshalImage(b []byte) (Image, error) {
 	if last := img.Layers[len(img.Layers)-1].Gen; last != img.Gen {
 		return img, fmt.Errorf("volume: live layer gen %d != volume gen %d", last, img.Gen)
 	}
-	nSnaps := int(r.u32())
-	if r.err != nil {
-		return img, r.err
+	nSnaps := int(r.U32())
+	if r.Err() != nil {
+		return img, r.Err()
 	}
 	if nSnaps > maxImageEnts {
 		return img, fmt.Errorf("volume: bad snapshot count %d", nSnaps)
 	}
 	prevSnap := uint64(0)
 	for i := 0; i < nSnaps; i++ {
-		g := r.u64()
-		if r.err != nil {
-			return img, r.err
+		g := r.U64()
+		if r.Err() != nil {
+			return img, r.Err()
 		}
 		if g <= prevSnap {
 			return img, fmt.Errorf("volume: snapshot gens not ascending at %d", g)
@@ -211,65 +213,10 @@ func UnmarshalImage(b []byte) (Image, error) {
 		prevSnap = g
 		img.Snaps = append(img.Snaps, g)
 	}
-	if len(r.b) != 0 {
-		return img, fmt.Errorf("volume: %d trailing bytes after image", len(r.b))
+	if r.Remaining() != 0 {
+		return img, fmt.Errorf("volume: %d trailing bytes after image", r.Remaining())
 	}
 	return img, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// reader is a sticky-error big-endian cursor.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("volume: truncated image")
-	}
-}
-func (r *reader) u16() uint16 {
-	if r.err != nil || len(r.b) < 2 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-func (r *reader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-func (r *reader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || len(r.b) < n {
-		r.fail()
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
 }
 
 // Import reconstitutes a volume from an image on this manager's pool:

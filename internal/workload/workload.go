@@ -31,13 +31,9 @@ func (f TargetFunc) Issue(op core.OpType, block uint64, size int, done func(lat 
 // local-access experiments (Figure 1, Figure 3, the SPDK-like baseline).
 func DeviceTarget(eng *sim.Engine, dev *flashsim.Device) Target {
 	return TargetFunc(func(op core.OpType, block uint64, size int, done func(lat sim.Time)) {
-		fop := flashsim.OpRead
-		if op == core.OpWrite {
-			fop = flashsim.OpWrite
-		}
 		start := eng.Now()
 		dev.Submit(&flashsim.Request{
-			Op:    fop,
+			Op:    flashsim.OpFor(op),
 			Block: block,
 			Size:  size,
 			OnComplete: func(at sim.Time) {
