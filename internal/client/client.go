@@ -1005,11 +1005,13 @@ func (cl *Client) sendCall(hdr *protocol.Header, payload []byte, lease *bufpool.
 	}
 	cl.mu.Unlock()
 
+	// Stamped under wmu: a reconnect holding it may remap the handle and
+	// raise the epoch, and the frame goes out on the transport it leaves.
+	cl.wmu.Lock()
 	w := *hdr
 	w.Handle = cl.mapHandle(hdr.Handle)
 	w.Epoch = cl.Epoch()
 	cl.stampShardVersion(&w)
-	cl.wmu.Lock()
 	t := cl.t
 	var err error
 	switch tt := t.(type) {

@@ -114,6 +114,16 @@ func (t *Tenant) Demand() Tokens { return t.demand }
 // QueueLen returns the number of queued requests.
 func (t *Tenant) QueueLen() int { return t.queue.len() }
 
+// Drop empties the tenant's software queue, oldest first, handing each
+// request to fn: how a server retires the queued requests of a tenant it
+// unregisters or shuts down.
+func (t *Tenant) Drop(fn func(*Request)) {
+	for r := t.queue.pop(); r != nil; r = t.queue.pop() {
+		t.demand -= r.cost
+		fn(r)
+	}
+}
+
 // Stats returns a copy of the tenant's counters.
 func (t *Tenant) Stats() TenantStats { return t.stats }
 

@@ -32,29 +32,79 @@ func WrapConn(c net.Conn, in *Injector) net.Conn {
 	return &Conn{Conn: c, inj: in, closeCh: make(chan struct{})}
 }
 
-// perOp applies the shared pre-operation faults: jitter, stall, reset.
-// It returns a non-nil error when the operation must fail immediately.
-func (c *Conn) perOp() error {
-	in := c.inj
+// ConnFault is one draw of the faults WrapConn applies before each Read
+// and Write, for a caller that serves many connections on one thread and
+// so must not sleep inside an operation: it mutes the one connection for
+// Mute instead.
+type ConnFault struct {
+	Mute  time.Duration // jitter plus any stall
+	Reset bool          // close the connection abruptly
+	Drop  bool          // blackhole it: reads never arrive, writes vanish
+}
+
+// ConnOp draws the faults for one connection operation.
+func (in *Injector) ConnOp() ConnFault {
+	var f ConnFault
+	if in == nil {
+		return f
+	}
 	if in.cfg.JitterMax > 0 {
 		// Jitter is background noise applied to every operation; it is
 		// deliberately not counted as an injected fault.
 		in.mu.Lock()
-		j := time.Duration(in.rng.Int63n(int64(in.cfg.JitterMax)))
+		f.Mute = time.Duration(in.rng.Int63n(int64(in.cfg.JitterMax)))
 		in.mu.Unlock()
-		time.Sleep(j)
 	}
 	if in.hit(in.cfg.StallProb) {
 		in.note(KindStall)
-		time.Sleep(in.dur(in.cfg.StallDur))
+		f.Mute += in.dur(in.cfg.StallDur)
 	}
 	if in.hit(in.cfg.ResetProb) {
 		in.note(KindReset)
-		c.Close()
-		return net.ErrClosed
+		f.Reset = true
+		return f
 	}
 	if in.hit(in.cfg.DropProb) {
 		in.note(KindDrop)
+		f.Drop = true
+	}
+	return f
+}
+
+// Partial returns how many of n bytes one Read or Write moves: all of
+// them, or about half under a partial fault.
+func (in *Injector) Partial(n int) int {
+	if in == nil || !in.hit(in.cfg.PartialProb) || n <= 1 {
+		return n
+	}
+	in.note(KindPartial)
+	return 1 + n/2
+}
+
+// CorruptAt picks the byte of an n-byte wire image to flip in flight, at
+// or past skip (a frame header there must survive), or returns -1.
+func (in *Injector) CorruptAt(n, skip int) int {
+	if in == nil || n <= skip || !in.hit(in.cfg.CorruptProb) {
+		return -1
+	}
+	in.mu.Lock()
+	i := skip + in.rng.Intn(n-skip)
+	in.mu.Unlock()
+	in.note(KindCorrupt)
+	return i
+}
+
+// perOp applies the shared pre-operation faults: jitter, stall, reset,
+// drop. It returns a non-nil error when the operation must fail
+// immediately.
+func (c *Conn) perOp() error {
+	f := c.inj.ConnOp()
+	time.Sleep(f.Mute)
+	if f.Reset {
+		c.Close()
+		return net.ErrClosed
+	}
+	if f.Drop {
 		c.blackholed.Store(true)
 	}
 	return nil
@@ -70,11 +120,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if c.blackholed.Load() {
 		return 0, c.blockUntilDeadline()
 	}
-	if c.inj.hit(c.inj.cfg.PartialProb) && len(p) > 1 {
-		c.inj.note(KindPartial)
-		p = p[:1+len(p)/2]
-	}
-	return c.Conn.Read(p)
+	return c.Conn.Read(p[:c.inj.Partial(len(p))])
 }
 
 // wireHeaderSize mirrors protocol.HeaderSize without importing the
@@ -95,23 +141,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.blackholed.Load() {
 		return len(p), nil // vanishes into the half-open void
 	}
-	if len(p) > wireHeaderSize && c.inj.hit(c.inj.cfg.CorruptProb) {
+	if i := c.inj.CorruptAt(len(p), wireHeaderSize); i >= 0 {
 		// Copy so the caller's buffer (possibly a retained payload slice)
 		// is not mutated; corrupt only the bytes on the wire.
-		q := make([]byte, len(p))
-		copy(q, p)
-		c.inj.mu.Lock()
-		i := wireHeaderSize + c.inj.rng.Intn(len(q)-wireHeaderSize)
-		c.inj.mu.Unlock()
-		q[i] ^= 0xA5
-		c.inj.note(KindCorrupt)
-		p = q
+		p = append([]byte(nil), p...)
+		p[i] ^= 0xA5
 	}
-	if c.inj.hit(c.inj.cfg.PartialProb) && len(p) > 1 {
-		c.inj.note(KindPartial)
-		return c.Conn.Write(p[:len(p)/2])
-	}
-	return c.Conn.Write(p)
+	return c.Conn.Write(p[:c.inj.Partial(len(p))])
 }
 
 // blockUntilDeadline emulates a read against a half-open peer: nothing

@@ -9,7 +9,8 @@
 //
 //   - net.Conn wrappers (WrapConn, WrapListener) inject drops (half-open
 //     blackholes), stalls, partial reads/writes, resets and jitter on the
-//     real socket path;
+//     real socket path; an event loop that cannot sleep per operation
+//     draws the same decisions from ConnOp, Partial and CorruptAt;
 //   - netsim consults MessageFate for message loss, duplication and extra
 //     delay;
 //   - flashsim and the real server's device path consult DeviceError and

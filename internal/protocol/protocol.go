@@ -720,6 +720,72 @@ func (m *Message) UnmarshalFrame(b []byte) error {
 	return nil
 }
 
+// Splitter cuts a byte stream into messages as its bytes arrive, in any
+// chunking: the nonblocking reader's form of ReadMessageInto. Read into
+// Space, report the count to Fill, then call Next until it reports no
+// complete message. Next never consumes a byte past the message it
+// returns, and a payload lands in storage drawn from the Allocator, so a
+// frame larger than the receive buffer streams through it and at most a
+// partial header ever stays behind in the buffer.
+type Splitter struct {
+	buf     []byte // receive buffer; buf[r:w] is read but not yet consumed
+	r, w    int
+	pending bool   // hdr is decoded and body is being filled
+	hdr     Header // the pending message's header
+	body    []byte // the pending message's payload storage
+	got     int    // bytes of body filled so far
+}
+
+// Reset starts a new stream over buf, which must hold at least a header.
+func (s *Splitter) Reset(buf []byte) { *s = Splitter{buf: buf} }
+
+// Space returns the buffer's free tail for the next read, first moving
+// the unconsumed bytes to the front.
+func (s *Splitter) Space() []byte {
+	if s.r > 0 {
+		s.w = copy(s.buf, s.buf[s.r:s.w])
+		s.r = 0
+	}
+	return s.buf[s.w:]
+}
+
+// Fill records that n bytes were read into the slice Space returned.
+func (s *Splitter) Fill(n int) { s.w += n }
+
+// Next decodes the next complete message into m exactly as
+// ReadMessageInto would from the same bytes. It reports false when the
+// stream needs more bytes; an error (bad magic, oversize Len) leaves the
+// stream unusable.
+func (s *Splitter) Next(m *Message, alloc Allocator) (bool, error) {
+	if !s.pending {
+		if s.w-s.r < HeaderSize {
+			return false, nil
+		}
+		if err := s.hdr.Unmarshal(s.buf[s.r:s.w]); err != nil {
+			return false, err
+		}
+		s.r += HeaderSize
+		s.pending, s.body, s.got = true, nil, 0
+		if s.hdr.Len > 0 {
+			if alloc == nil {
+				alloc = func(n int) []byte { return make([]byte, n) }
+			}
+			s.body = alloc(int(s.hdr.Len))
+		}
+	}
+	n := copy(s.body[s.got:], s.buf[s.r:s.w])
+	s.r += n
+	s.got += n
+	if s.got < len(s.body) {
+		return false, nil
+	}
+	s.pending = false
+	m.Header, m.Payload, m.ChecksumErr, m.TraceID, m.ParentSpan = s.hdr, s.body, false, 0, 0
+	m.verifyTrace()
+	m.verifyChecksum()
+	return true, nil
+}
+
 // verifyTrace strips the trace-context trailer when present. Runs before
 // verifyChecksum: the trace trailer is outermost on the wire, so the
 // checksum trailer (and the CRC it carries over the data bytes) is only

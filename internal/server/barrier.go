@@ -6,50 +6,60 @@ import (
 
 // Per-tenant ordering barriers (the §4.1 future-work extension): a barrier
 // completes only after every I/O submitted before it on the tenant has
-// completed, and I/O submitted after it is held until it completes. ReFlex
-// otherwise serves requests without ordering guarantees beyond those of
-// the transport.
+// completed, and I/O submitted after it is held until it completes.
 //
 // The sequencer keeps a FIFO that is only populated while a barrier is
-// pending, so the unordered fast path costs one mutex acquisition.
-//
-// Failure handling: when a tenant dies mid-barrier (client disconnect,
-// idle reap, explicit unregister), kill drains the FIFO — held I/Os and
-// pending barriers are dropped, and later submissions are refused — so no
-// waiter is ever stuck on a dead tenant. Surviving tenants have
-// independent sequencers and are unaffected.
+// pending, so the unordered fast path costs one mutex acquisition. When a
+// tenant dies mid-barrier (disconnect, idle reap, unregister), kill drains
+// the FIFO and refuses later submissions, so no waiter is ever stuck.
 
 // seqItem is either a held I/O (io != nil) or a pending barrier.
 type seqItem struct {
-	io    *enqueued
-	bconn responder
-	bhdr  protocol.Header
+	io   *reqCtx
+	conn responder
+	hdr  protocol.Header
 }
 
-// submitIO routes an I/O through the tenant's ordering sequencer: straight
-// to the scheduler thread when no barrier is pending, held otherwise. It
-// reports false when the tenant is already torn down.
-func (st *stenant) submitIO(s *Server, e enqueued) bool {
+// barrierDone answers a barrier.
+func barrierDone(pc *pcore, b seqItem, st protocol.Status) {
+	b.conn.send(pc, protocol.Header{
+		Opcode: protocol.OpBarrier,
+		Flags:  protocol.FlagResponse,
+		Handle: b.hdr.Handle,
+		Cookie: b.hdr.Cookie,
+		Status: st,
+	}, nil, nil)
+}
+
+// submitIO routes a record through the tenant's ordering sequencer:
+// straight to its core's scheduler when no barrier is pending, held
+// otherwise. It reports false when the tenant is already torn down.
+func (st *stenant) submitIO(pc *pcore, c *reqCtx) bool {
 	st.mu.Lock()
 	if st.dead {
 		st.mu.Unlock()
 		return false
 	}
 	if len(st.seq) > 0 {
-		st.seq = append(st.seq, seqItem{io: &e})
+		st.seq = append(st.seq, seqItem{io: c})
 		st.mu.Unlock()
 		return true
 	}
 	st.outstanding++
 	st.mu.Unlock()
-	s.cores[st.coreID].enqueue(e)
+	if st.coreID == pc.id {
+		pc.enqueue(c, true)
+	} else {
+		c.phase = phaseQueue
+		c.post()
+	}
 	return true
 }
 
 // submitBarrier registers a barrier; it completes immediately when the
 // tenant has nothing in flight. It reports false when the tenant is
 // already torn down.
-func (st *stenant) submitBarrier(conn responder, hdr protocol.Header) bool {
+func (st *stenant) submitBarrier(pc *pcore, conn responder, hdr protocol.Header) bool {
 	st.mu.Lock()
 	if st.dead {
 		st.mu.Unlock()
@@ -57,22 +67,18 @@ func (st *stenant) submitBarrier(conn responder, hdr protocol.Header) bool {
 	}
 	if st.outstanding == 0 && len(st.seq) == 0 {
 		st.mu.Unlock()
-		conn.send(&protocol.Header{
-			Opcode: protocol.OpBarrier,
-			Flags:  protocol.FlagResponse,
-			Handle: hdr.Handle,
-			Cookie: hdr.Cookie,
-		}, nil, nil)
+		barrierDone(pc, seqItem{conn: conn, hdr: hdr}, protocol.StatusOK)
 		return true
 	}
-	st.seq = append(st.seq, seqItem{bconn: conn, bhdr: hdr})
+	st.seq = append(st.seq, seqItem{conn: conn, hdr: hdr})
 	st.mu.Unlock()
 	return true
 }
 
 // kill tears the sequencer down: pending barriers are answered with
 // StatusNoTenant (their submitter may be a different live connection) and
-// held I/Os are dropped. Subsequent submissions are refused. Idempotent.
+// held I/Os are dropped with their leases. Subsequent submissions are
+// refused. Idempotent; runs on any goroutine.
 func (st *stenant) kill() {
 	st.mu.Lock()
 	if st.dead {
@@ -84,35 +90,21 @@ func (st *stenant) kill() {
 	st.seq = nil
 	st.mu.Unlock()
 	for _, it := range seq {
-		if it.io == nil && it.bconn != nil {
-			it.bconn.send(&protocol.Header{
-				Opcode: protocol.OpBarrier,
-				Flags:  protocol.FlagResponse,
-				Handle: it.bhdr.Handle,
-				Cookie: it.bhdr.Cookie,
-				Status: protocol.StatusNoTenant,
-			}, nil, nil)
-			continue
-		}
-		// Dropped held I/O: its request context may hold a retained
-		// write-payload lease that will never reach submit; release it
-		// here so the pooled buffer is not leaked for the process
-		// lifetime.
 		if it.io != nil {
-			if ctx, ok := it.io.req.Context.(*reqCtx); ok {
-				ctx.releaseLease()
-			}
+			it.io.releaseLease()
+		} else {
+			barrierDone(nil, it, protocol.StatusNoTenant)
 		}
 	}
 }
 
-// ioDone retires one in-flight I/O and pumps the sequencer: barriers at
-// the front complete once the tenant drains; held I/Os behind a completed
-// barrier are released to the scheduler.
-func (st *stenant) ioDone(s *Server) {
-	var release []enqueued
+// ioDone retires one in-flight I/O on the tenant's core (pc, or nil off
+// the loop) and pumps the sequencer: barriers at the front complete once
+// the tenant drains, and held I/Os behind a completed barrier go back to
+// the core through its inbox, entering the scheduler on the next round.
+func (st *stenant) ioDone(pc *pcore) {
+	var release []*reqCtx
 	var replies []seqItem
-
 	st.mu.Lock()
 	st.outstanding--
 	for len(st.seq) > 0 {
@@ -126,28 +118,15 @@ func (st *stenant) ioDone(s *Server) {
 			continue
 		}
 		st.outstanding++
-		release = append(release, *head.io)
+		release = append(release, head.io)
 		st.seq = st.seq[1:]
 	}
 	st.mu.Unlock()
-
 	for _, b := range replies {
-		b.bconn.send(&protocol.Header{
-			Opcode: protocol.OpBarrier,
-			Flags:  protocol.FlagResponse,
-			Handle: b.bhdr.Handle,
-			Cookie: b.bhdr.Cookie,
-		}, nil, nil)
+		barrierDone(pc, b, protocol.StatusOK)
 	}
-	if len(release) == 0 {
-		return
+	for _, c := range release {
+		c.phase = phaseQueue
+		c.post()
 	}
-	// Release off the caller's goroutine: ioDone may run on the core
-	// goroutine itself, and enqueue blocks when the core's ring is full.
-	pc := s.cores[st.coreID]
-	go func() {
-		for _, e := range release {
-			pc.enqueue(e)
-		}
-	}()
 }

@@ -34,7 +34,7 @@ func (cb *cachedBackend) WriteAt(p []byte, off int64) (int, error) {
 
 // probeCache looks a read up in the DRAM cache at dispatch time. On a
 // hit the response payload is copied into a pooled lease under the
-// cache's segment lock (ctx.cbuf; the pcore serves it without touching
+// cache's segment lock (ctx.outLease; the pcore serves it without touching
 // the backend) and the returned cost override charges the tenant the
 // cache-service cost instead of a device read. On an admitted miss the
 // fill fence is recorded on ctx so the pcore commits the block after the
@@ -62,7 +62,7 @@ func (s *Server) probeCache(ctx *reqCtx, ten *stenant) core.Tokens {
 	lease := bufpool.Get(int(n) + protocol.ChecksumSize)
 	hit, admit, epoch := s.cache.Probe(key, int(off%readcache.BlockSize), lease.Bytes()[:n])
 	if hit {
-		ctx.cbuf = lease
+		ctx.outLease = lease
 		return s.devices[ten.device].cfg.Model.CacheServeCost()
 	}
 	lease.Release()

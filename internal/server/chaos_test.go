@@ -16,9 +16,9 @@ import (
 )
 
 // TestChaosSoak drives the real TCP path through the fault injector on
-// both sides — the server wraps accepted connections, the clients dial
-// through a faulted dialer — for a few seconds of mixed read/write load,
-// and then asserts the hardening invariants:
+// both sides — the server's core loops consult it at every connection read
+// and write, the clients dial through a faulted dialer — for a few seconds
+// of mixed read/write load, and then asserts the hardening invariants:
 //
 //   - every issued request resolves (success or typed error; none hang),
 //   - latency-critical traffic is never shed,
@@ -104,8 +104,8 @@ func TestChaosSoak(t *testing.T) {
 
 	// The LC probe: its requests must never be shed, no matter what the
 	// chaos around it does to the server. Device errors, timeouts and
-	// resets can still hit it (the server wraps every accepted conn with
-	// the injector) — only ErrOverloaded violates the invariant.
+	// resets can still hit it (the server injects on every connection) —
+	// only ErrOverloaded violates the invariant.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

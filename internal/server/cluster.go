@@ -177,24 +177,42 @@ func (s *Server) ApplyReplicateTraced(lba uint32, payload []byte, epoch uint16, 
 	return st
 }
 
-// SendToReplica makes a srvConn a cluster.ReplicaSender. The lease (a
-// reference the replicator retained for the backup-bound copy) transfers
-// to send, which releases it after the flush that carries the frame.
-// Catch-up chunks arrive with a nil lease and a private buffer; their
-// reuse is safe because the catch-up stream is ack-paced — the backup can
-// only ack a chunk the writer goroutine already flushed.
+// SendToReplica makes a srvConn a cluster.ReplicaSender; the lease (the
+// replicator's reference) is released after the writev carrying the frame.
+// Catch-up chunks have no lease: their private buffer is reused only after
+// an ack, so after it was written.
 func (sc *srvConn) SendToReplica(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) {
-	sc.send(hdr, payload, lease)
+	sc.send(nil, *hdr, payload, lease)
 }
 
-// joinReplica attaches sc as the backup session (OpJoin) and starts the
-// catch-up stream. Called after the OK handshake response is on the wire,
-// so the backup never mistakes the first catch-up chunk for the response.
-// Acks read off sc reach this session only, and sc's teardown closes it:
-// pending forwards degrade to standalone acks.
-func (s *Server) joinReplica(sc *srvConn) {
-	sc.attach(s.repl.Attach(sc).(attachment))
-	s.m.replJoins.Inc()
+// handleJoin serves OpJoin: a backup (Count == 0) or a migration sink
+// (window [LBA, LBA+Count) blocks) attaches over this TCP connection. The
+// OK goes into the outbox ahead of the catch-up stream; teardown closes the
+// session, degrading pending forwards to standalone acks.
+func (s *Server) handleJoin(rsp responder, hdr *protocol.Header, _ []byte) {
+	resp := protocol.Header{Opcode: protocol.OpJoin, Flags: protocol.FlagResponse, Cookie: hdr.Cookie, LBA: hdr.LBA, Count: hdr.Count}
+	sc, isTCP := rsp.(*srvConn)
+	if !isTCP || s.backupRole.Load() {
+		resp.Status = protocol.StatusBadRequest
+		rsp.send(nil, resp, nil, nil)
+		return
+	}
+	s.AdoptEpoch(hdr.Epoch)
+	resp.Epoch = s.ClusterEpoch()
+	rsp.send(nil, resp, nil, nil)
+	if hdr.Count != 0 {
+		sc.attach(s.migr.AttachRange(sc, hdr.LBA, hdr.Count).(attachment))
+		s.m.migrJoins.Inc()
+	} else {
+		sc.attach(s.repl.Attach(sc).(attachment))
+		s.m.replJoins.Inc()
+	}
+}
+
+// handlePromote serves OpPromote (the promotion hook is caller code).
+func (s *Server) handlePromote(rsp responder, hdr *protocol.Header, _ []byte) {
+	e, st := s.Promote(hdr.Epoch)
+	rsp.send(nil, protocol.Header{Opcode: protocol.OpPromote, Flags: protocol.FlagResponse, Cookie: hdr.Cookie, Epoch: e, Status: st}, nil, nil)
 }
 
 // ReplicaLive reports whether a backup session is currently attached.

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bufio"
-	"errors"
-	"net"
-	"os"
+	"bytes"
 	"sync"
-	"time"
+	"syscall"
+	"unsafe"
 
 	"github.com/reflex-go/reflex/internal/bufpool"
 	"github.com/reflex-go/reflex/internal/core"
@@ -14,91 +12,69 @@ import (
 	"github.com/reflex-go/reflex/internal/protocol"
 )
 
-// responder delivers response messages back to a client over whatever
-// transport the request arrived on. send takes ownership of one lease
-// reference when lease is non-nil: the reference is released once the
-// bytes are on the wire (or the message is dropped on teardown) — never
-// earlier, so a pooled payload cannot be recycled under an in-flight
-// flush.
+// responder delivers responses over the transport a request arrived on;
+// pc is the calling core's loop, or nil. send owns one reference of lease
+// and releases it once the bytes are on the wire or dropped, never earlier.
 type responder interface {
-	send(hdr *protocol.Header, payload []byte, lease *bufpool.Buf)
+	send(pc *pcore, hdr protocol.Header, payload []byte, lease *bufpool.Buf)
 }
 
-// Adaptive wire-batching bounds, mirroring the paper's §3.2.1 adaptive
-// batching: responses are coalesced into one vectored flush until the
-// batch reaches wireBatchMsgs messages or wireBatchBytes bytes, or the
-// response queue drains — whichever comes first. Under light load every
-// response flushes alone (no added latency); under load the syscall cost
-// amortizes across up to 64 completions exactly like the paper's NVMe
-// submission batching cap.
+// Adaptive wire batching (§3.2.1): a connection's queued responses go out
+// in writev batches of up to wireBatchMsgs messages or wireBatchBytes, so
+// a lone response flushes alone and a burst amortizes the syscall.
 const (
 	wireBatchMsgs  = 64
 	wireBatchBytes = 256 << 10
-	// outQueueDepth is the per-connection response queue; senders block
-	// when it fills (backpressure toward the scheduler callback).
-	outQueueDepth = 256
+	recvBufSize    = 64 << 10 // per-connection receive buffer (a bufpool class)
 )
 
-// outMsg is one queued response.
+// outMsg is one response frame waiting for the wire.
 type outMsg struct {
-	hdr     protocol.Header
+	h       [protocol.HeaderSize]byte
 	payload []byte
 	lease   *bufpool.Buf
 }
 
-// srvConn is one client TCP connection, pinned to one core (pc) at accept
-// time. Responses are appended to a cond-guarded out-queue; the owning
-// core's flusher goroutine swaps the queue out and writes it with
-// vectored flushes (see flush). A connection has exactly one goroutine of
-// its own (the reader) — the old per-connection writer goroutine is
-// absorbed into the core flusher, so N connections cost N+2 goroutines
-// per core instead of 2N.
+// srvConn is one client TCP connection, pinned at accept time to one core,
+// whose loop alone reads, writes and closes its socket.
 type srvConn struct {
 	srv  *Server
-	c    netConn
 	core *pcore
-	// vectored is computed once: real TCP conns take the writev path,
-	// test seams and fault-wrapped conns the flat-buffer path.
-	vectored bool
+	fd   int
+	slot int32 // epoll slot on core, -1 until adopted
 
-	// outMu guards the response queue. Senders (core goroutines, timer
-	// goroutines, readers replying inline) append and block on outCond
-	// when the queue is full; the flusher swaps outQ with flushQ and
-	// broadcasts. downB marks teardown: senders drop instead of queueing.
-	outMu   sync.Mutex
-	outCond *sync.Cond
-	outQ    []outMsg
-	flushQ  []outMsg
-	// queued is true while the connection sits on its core's dirty list;
-	// the empty→non-empty sender arms it so the conn is listed at most
-	// once per flush cycle.
-	queued bool
-	downB  bool
-
-	// Flusher-confined batch scratch (touched only by the core flusher):
-	// header arena (never exceeds cap, so subslices stay valid), the
-	// iovec list, and the leases to release after each wire batch.
-	hdrs   []byte
-	iov    net.Buffers
-	leases []*bufpool.Buf
-
-	// owned tracks tenant handles registered over this connection; they
-	// are unregistered when the connection tears down, so a dead peer no
-	// longer leaks its registrations (and their token reservations).
-	omu   sync.Mutex
+	// Loop-confined state.
+	split    protocol.Splitter
+	rbuf     *bufpool.Buf       // the receive buffer
+	rlease   *bufpool.Buf       // payload storage of the frame being split
+	alloc    protocol.Allocator // allocPayload, bound once
+	wq       []outMsg           // responses not yet on the wire
+	wh, woff int                // wq[wh] is the next to send, woff bytes of it sent
+	events   uint32             // registered epoll interest
+	// dirty: on the core's dirty list; parked: a control op owns the next
+	// reply; waitOut: the socket was full; drawn: a fault was drawn for
+	// the op a mute deferred; blackholed: an injected drop.
+	dirty, parked, waitOut, drawn, blackholed bool
+	// The last read; when writing last made progress; an injected mute.
+	lastRead, stallSince, muteUntil int64
+	// owned are the tenant handles registered over this connection; they
+	// are unregistered when it tears down, returning their reservations.
 	owned map[uint16]struct{}
 
-	// att is the one thing riding this connection besides request/response
-	// traffic: a backup's replication session (s.repl), a migration sink's
-	// ranged session (s.migr) or a snapshot-diff stream (OpVolStream). Every
-	// response-flagged frame read off the connection goes to it and
-	// teardown closes it; attDown marks teardown so a late attach is closed
-	// instead of leaking.
+	// The outbox: frames sent from other goroutines (cores, the control
+	// goroutine, shippers), taken by the loop in order. down marks
+	// teardown, after which sends drop.
+	omu    sync.Mutex
+	obox   []outMsg
+	listed bool // posted to the core and not yet taken
+	down   bool // written under omu, and only by the loop
+
+	// att rides the connection besides requests: a replication session, a
+	// migration sink's ranged session or a diff stream. Response frames go
+	// to it; teardown closes it and sets attDown, so a late attach closes.
 	amu     sync.Mutex
 	att     attachment
 	attDown bool
-
-	downOnce sync.Once
 }
 
 // attachment is what a connection can carry (see srvConn.att); both
@@ -126,335 +102,431 @@ func (sc *srvConn) attach(a attachment) {
 	}
 }
 
-// netConn is the subset of net.Conn the server uses (test seam).
-type netConn interface {
-	Read(p []byte) (int, error)
-	Write(p []byte) (int, error)
-	Close() error
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
-// newSrvConn builds a connection, pins it to the least-loaded core,
-// registers it in the server's set and starts its reader goroutine.
-func newSrvConn(s *Server, c netConn) *srvConn {
-	// Accept-time pinning: the connection lands on the core with the
-	// fewest connections, and every tenant registered over it lands on
-	// the same core (see registerTenant), keeping the tenant's whole
-	// request path core-local.
+// newConn pins an accepted socket to the core with the fewest connections
+// and hands it to that core's loop. Every tenant registered over it lands
+// on the same core, keeping a tenant's request path core-local.
+func (s *Server) newConn(fd int) {
 	pc := s.cores[0]
 	for _, cand := range s.cores[1:] {
 		if cand.nconns.Load() < pc.nconns.Load() {
 			pc = cand
 		}
 	}
-	_, vectored := c.(*net.TCPConn)
-	sc := &srvConn{
-		srv:      s,
-		c:        c,
-		core:     pc,
-		vectored: vectored,
-		outQ:     make([]outMsg, 0, outQueueDepth),
-		flushQ:   make([]outMsg, 0, outQueueDepth),
-		hdrs:     make([]byte, 0, wireBatchMsgs*protocol.HeaderSize),
-		iov:      make(net.Buffers, 0, 2*wireBatchMsgs),
-		leases:   make([]*bufpool.Buf, 0, wireBatchMsgs),
-		owned:    make(map[uint16]struct{}),
-	}
-	sc.outCond = sync.NewCond(&sc.outMu)
+	sc := &srvConn{srv: s, core: pc, fd: fd, slot: -1, owned: make(map[uint16]struct{})}
+	sc.alloc = sc.allocPayload
 	s.connMu.Lock()
+	defer s.connMu.Unlock()
 	select {
 	case <-s.done:
-		// The accept raced Close past its conn sweep: refuse instead of
-		// leaking a socket no one will ever close.
-		s.connMu.Unlock()
-		c.Close()
-		return sc
+		syscall.Close(fd) // the accept raced Close
+		return
 	default:
 	}
 	s.conns[sc] = struct{}{}
-	s.connMu.Unlock()
 	s.connCount.Add(1)
 	pc.nconns.Add(1)
-	s.wg.Add(1)
-	go sc.readLoop()
-	return sc
+	// Posted under connMu: Close closes done under it too, so the core's
+	// final drain sees every connection accepted before.
+	pc.post(inItem{sc: sc})
 }
 
-// send enqueues one response message. Responses may originate from core
-// goroutines and timer goroutines concurrently; ordering is the queue's
-// FIFO order per connection. A non-nil lease transfers one reference to
-// the flusher, released after the flush that carries the message. Once
-// the connection is down the message is dropped and the lease released
-// immediately. The empty→non-empty transition lists the connection on
-// its core's dirty set — one flusher wakeup covers every response queued
-// since the last flush, across all of the core's connections.
-func (sc *srvConn) send(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) {
+// adopt adds a new connection to the core's epoll set.
+func (pc *pcore) adopt(sc *srvConn) {
+	if n := len(pc.slots); n > 0 {
+		sc.slot = pc.slots[n-1]
+		pc.slots = pc.slots[:n-1]
+		pc.conns[sc.slot] = sc
+	} else {
+		sc.slot = int32(len(pc.conns))
+		pc.conns = append(pc.conns, sc)
+	}
+	sc.rbuf = bufpool.Get(recvBufSize)
+	sc.split.Reset(sc.rbuf.Bytes())
+	sc.lastRead = pc.srv.now()
+	sc.events = syscall.EPOLLIN
+	if pc.ctl(syscall.EPOLL_CTL_ADD, sc.fd, sc.slot, sc.events) != nil {
+		pc.teardown(sc, false)
+	}
+}
+
+func (sc *srvConn) allocPayload(n int) []byte {
+	sc.rlease = bufpool.Get(n)
+	return sc.rlease.Bytes()
+}
+
+// newOut frames a response, applying an injected in-flight corruption to
+// a copy of its payload so a retained buffer is never touched.
+func (s *Server) newOut(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) outMsg {
 	if hdr.Epoch == 0 {
-		hdr.Epoch = sc.srv.ClusterEpoch()
+		hdr.Epoch = s.ClusterEpoch()
 	}
-	m := outMsg{hdr: *hdr, payload: payload, lease: lease}
-	m.hdr.Len = uint32(len(payload))
-	sc.outMu.Lock()
-	for !sc.downB && len(sc.outQ) >= outQueueDepth {
-		sc.outCond.Wait()
+	hdr.Len = uint32(len(payload))
+	if i := s.cfg.Faults.CorruptAt(len(payload), 0); i >= 0 {
+		payload = bytes.Clone(payload)
+		payload[i] ^= 0xA5
 	}
-	if sc.downB {
-		sc.outMu.Unlock()
+	m := outMsg{payload: payload, lease: lease}
+	hdr.MarshalTo(m.h[:])
+	return m
+}
+
+// send queues a response: straight onto the write queue from the
+// connection's own loop, else through the outbox. A down connection drops
+// it. It never waits.
+func (sc *srvConn) send(pc *pcore, hdr protocol.Header, payload []byte, lease *bufpool.Buf) {
+	if pc == sc.core {
+		if sc.down || sc.blackholed {
+			bufpool.ReleaseIf(lease)
+			return
+		}
+		sc.wq = append(sc.wq, sc.srv.newOut(&hdr, payload, lease))
+		pc.markDirty(sc)
+		return
+	}
+	m := sc.srv.newOut(&hdr, payload, lease)
+	sc.omu.Lock()
+	if sc.down {
+		sc.omu.Unlock()
 		bufpool.ReleaseIf(lease)
 		return
 	}
-	sc.outQ = append(sc.outQ, m)
-	kick := !sc.queued
-	sc.queued = true
-	sc.outMu.Unlock()
-	if kick {
-		sc.core.noteDirty(sc)
+	sc.obox = append(sc.obox, m)
+	post := !sc.listed
+	sc.listed = true
+	sc.omu.Unlock()
+	if post {
+		sc.core.post(inItem{sc: sc})
 	}
 }
 
-// flush drains the response queue into adaptive vectored flushes. Runs
-// only on the owning core's flusher goroutine: it swaps the queue out
-// under the lock, releases any blocked senders, then assembles batches of
-// up to wireBatchMsgs/wireBatchBytes and writes each with one writev
-// (net.Buffers on a *net.TCPConn) or one flat Write (test seams and
-// fault-wrapped conns) — one syscall and zero allocations per batch at
-// steady state. A write or deadline error tears the connection down
-// fully — closed, deregistered, its tenants unregistered and their
-// unspent tokens returned to the scheduler — instead of lingering
-// half-dead.
-func (sc *srvConn) flush() {
-	sc.outMu.Lock()
-	sc.outQ, sc.flushQ = sc.flushQ[:0], sc.outQ
-	sc.queued = false
-	down := sc.downB
-	sc.outMu.Unlock()
-	sc.outCond.Broadcast()
-	msgs := sc.flushQ
-	if len(msgs) == 0 {
+// takeOutbox moves a connection's outbox onto its write queue, adopting
+// the connection first if it is new.
+func (pc *pcore) takeOutbox(sc *srvConn) {
+	if sc.slot < 0 {
+		pc.adopt(sc)
+	}
+	sc.omu.Lock()
+	box := sc.obox
+	sc.obox, sc.listed = nil, false
+	sc.omu.Unlock()
+	for i := range box {
+		if sc.down || sc.blackholed {
+			bufpool.ReleaseIf(box[i].lease)
+		} else {
+			sc.wq = append(sc.wq, box[i])
+		}
+	}
+	pc.markDirty(sc)
+}
+
+func (pc *pcore) markDirty(sc *srvConn) {
+	if !sc.dirty {
+		sc.dirty = true
+		pc.dirty = append(pc.dirty, sc)
+	}
+}
+
+// event handles one epoll event on a connection.
+func (pc *pcore) event(sc *srvConn, ev uint32, now int64) {
+	if ev&(syscall.EPOLLHUP|syscall.EPOLLERR) != 0 && sc.events&syscall.EPOLLIN == 0 {
+		pc.teardown(sc, false) // a parked or muted peer hung up; nothing would read the error
 		return
 	}
-	if down {
-		for i := range msgs {
-			bufpool.ReleaseIf(msgs[i].lease)
-			msgs[i] = outMsg{}
-		}
+	if ev&syscall.EPOLLOUT != 0 {
+		sc.waitOut = false
+		pc.markDirty(sc)
+	}
+	if ev&(syscall.EPOLLIN|syscall.EPOLLHUP|syscall.EPOLLERR) != 0 {
+		pc.read(sc, now)
+	}
+}
+
+// read does one nonblocking read and dispatches every complete frame;
+// level-triggered epoll comes back for what a full buffer left behind.
+func (pc *pcore) read(sc *srvConn, now int64) {
+	if sc.down || sc.parked || sc.muteUntil != 0 || sc.blackholed {
 		return
 	}
-	m := sc.srv.m
-	i := 0
-	for i < len(msgs) {
-		hdrs := sc.hdrs[:0]
-		iov := sc.iov[:0]
-		leases := sc.leases[:0]
-		batch, bytes := 0, 0
-		for i < len(msgs) && batch < wireBatchMsgs && bytes < wireBatchBytes {
-			msg := &msgs[i]
-			off := len(hdrs)
-			hdrs = append(hdrs, hdrSpace[:]...)
-			msg.hdr.MarshalTo(hdrs[off:])
-			iov = append(iov, hdrs[off:off+protocol.HeaderSize])
-			if len(msg.payload) > 0 {
-				iov = append(iov, msg.payload)
-			}
-			if msg.lease != nil {
-				leases = append(leases, msg.lease)
-			}
-			bytes += protocol.HeaderSize + len(msg.payload)
-			batch++
-			i++
-		}
-		err := sc.flushBatch(iov, bytes)
-		for _, l := range leases {
-			l.Release()
-		}
-		m.flushes.Inc()
-		m.flushBatch.Record(int64(batch))
-		sc.core.flushes.Add(1)
-		sc.core.flushMsgs.Add(int64(batch))
-		if err != nil {
-			for ; i < len(msgs); i++ {
-				bufpool.ReleaseIf(msgs[i].lease)
-			}
-			for j := range msgs {
-				msgs[j] = outMsg{}
-			}
-			sc.teardown(false)
+	buf := sc.split.Space()
+	if inj := pc.srv.cfg.Faults; inj != nil {
+		if !pc.fault(sc, now) {
 			return
 		}
+		buf = buf[:inj.Partial(len(buf))]
 	}
-	for j := range msgs {
-		msgs[j] = outMsg{} // drop payload/lease refs; the buffer is reused
+	n, _, e := syscall.RawSyscall(syscall.SYS_READ, uintptr(sc.fd), uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)))
+	if e == syscall.EAGAIN {
+		return
+	}
+	if e != 0 || n == 0 {
+		pc.teardown(sc, false)
+		return
+	}
+	sc.split.Fill(int(n))
+	sc.lastRead = now
+	pc.parse(sc)
+}
+
+// parse dispatches the buffered frames until one parks the connection.
+func (pc *pcore) parse(sc *srvConn) {
+	for !sc.parked && !sc.down {
+		ok, err := sc.split.Next(&pc.msg, sc.alloc)
+		if err != nil {
+			pc.teardown(sc, false)
+			return
+		}
+		if !ok {
+			return
+		}
+		lease := sc.rlease
+		sc.rlease = nil
+		pc.dispatch(sc, &pc.msg, lease)
+		bufpool.ReleaseIf(lease)
 	}
 }
 
-// hdrSpace reserves header space in the batch arena without a make call.
-var hdrSpace [protocol.HeaderSize]byte
-
-// flushBatch writes one assembled batch: writev on a real TCP conn, a
-// single flat Write otherwise. The write deadline is armed first; a
-// SetWriteDeadline failure is surfaced like a write failure (it means the
-// socket is already dead) instead of being ignored.
-func (sc *srvConn) flushBatch(iov net.Buffers, size int) error {
-	if wt := sc.srv.cfg.WriteTimeout; wt > 0 {
-		if err := sc.c.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-			return err
-		}
+// fault draws the injected faults for one operation on sc and reports
+// whether it may proceed. A stall or jitter mutes only this connection
+// until a deadline instead of sleeping, so it never stalls the core; the
+// deferred operation then runs without a second draw.
+func (pc *pcore) fault(sc *srvConn, now int64) bool {
+	if sc.drawn {
+		sc.drawn = false
+		return true
 	}
-	if sc.vectored {
-		v := iov
-		_, err := v.WriteTo(sc.c.(*net.TCPConn))
-		return err
+	f := pc.srv.cfg.Faults.ConnOp()
+	switch {
+	case f.Reset:
+		pc.teardown(sc, false)
+	case f.Drop:
+		// A half-open peer: reads never arrive (the idle sweep reaps it)
+		// and writes vanish.
+		sc.blackholed = true
+		pc.dropQueued(sc)
+		pc.interest(sc)
+	case f.Mute > 0:
+		sc.muteUntil, sc.drawn = now+int64(f.Mute), true
+		pc.muted = append(pc.muted, sc)
+		pc.interest(sc)
+	default:
+		return true
 	}
-	// Flat path: coalesce into one pooled buffer and a single Write. The
-	// pooled buffer grows past its class only for oversize single
-	// messages (> wireBatchBytes), which are off the steady-state path.
-	flat := bufpool.Get(wireBatchBytes)
-	buf := flat.Bytes()[:0]
-	for _, b := range iov {
-		buf = append(buf, b...)
-	}
-	_, err := sc.c.Write(buf)
-	flat.Release()
-	return err
+	return false
 }
 
-// teardown closes the connection, removes it from the server's conn set
-// and unregisters every tenant registered over it (dropping held
-// sequencer work and returning unspent token reservations to the
-// scheduler). Queued responses are dropped with their leases released,
-// and blocked senders are woken to observe the down flag. Idempotent:
-// flusher-side write failures and the read loop's exit may both arrive
-// here.
-func (sc *srvConn) teardown(reaped bool) {
-	sc.downOnce.Do(func() {
-		sc.outMu.Lock()
-		sc.downB = true
-		drop := sc.outQ
-		sc.outQ = nil
-		sc.outMu.Unlock()
-		sc.outCond.Broadcast()
-		for i := range drop {
-			bufpool.ReleaseIf(drop[i].lease)
-			drop[i] = outMsg{}
+// interest registers the epoll events sc needs now.
+func (pc *pcore) interest(sc *srvConn) {
+	var ev uint32
+	if !sc.parked && sc.muteUntil == 0 && !sc.blackholed {
+		ev |= syscall.EPOLLIN
+	}
+	if sc.waitOut && sc.muteUntil == 0 {
+		ev |= syscall.EPOLLOUT
+	}
+	if ev != sc.events && !sc.down {
+		sc.events = ev
+		pc.ctl(syscall.EPOLL_CTL_MOD, sc.fd, sc.slot, ev)
+	}
+}
+
+func (pc *pcore) flushAll(now int64) {
+	for i, sc := range pc.dirty {
+		sc.dirty = false
+		pc.flush(sc, now)
+		pc.dirty[i] = nil
+	}
+	pc.dirty = pc.dirty[:0]
+}
+
+// flush writes sc's queued responses, one writev per batch, until the
+// queue is empty or the socket is full. A full socket keeps the unsent
+// tail and its leases until EPOLLOUT (or the WriteTimeout sweep); a failed
+// writev tears the connection down.
+func (pc *pcore) flush(sc *srvConn, now int64) {
+	s := pc.srv
+	for sc.wh < len(sc.wq) && !sc.down && !sc.waitOut && sc.muteUntil == 0 {
+		if s.cfg.Faults != nil && !pc.fault(sc, now) {
+			return
 		}
-		sc.c.Close()
-		sc.attach(nil)
-		s := sc.srv
-		s.connMu.Lock()
-		delete(s.conns, sc)
-		s.connMu.Unlock()
-		s.connCount.Add(-1)
-		sc.core.nconns.Add(-1)
-		// Wake the core flusher: its shutdown drain parks until every
-		// connection on the core is gone, and this may be the last one.
-		select {
-		case sc.core.flushKick <- struct{}{}:
-		default:
+		niov, size, msgs := 0, 0, 0
+		for i := sc.wh; i < len(sc.wq) && msgs < wireBatchMsgs && size < wireBatchBytes; i++ {
+			m, off := &sc.wq[i], 0
+			if i == sc.wh {
+				off = sc.woff
+			}
+			if off < protocol.HeaderSize {
+				niov, size = pc.addIOV(niov, size, m.h[off:])
+				off = protocol.HeaderSize
+			}
+			if off-protocol.HeaderSize < len(m.payload) {
+				niov, size = pc.addIOV(niov, size, m.payload[off-protocol.HeaderSize:])
+			}
+			msgs++
 		}
-		if reaped {
-			s.m.reaped.Inc()
-			s.m.journal.Record(obs.EvReap, s.cfg.NodeName, -1,
-				"idle connection reaped")
+		if s.cfg.Faults != nil {
+			if n := s.cfg.Faults.Partial(int(pc.iov[0].Len)); n < int(pc.iov[0].Len) {
+				niov, size = 1, n
+				pc.iov[0].SetLen(n)
+			}
 		}
-		sc.omu.Lock()
-		owned := make([]uint16, 0, len(sc.owned))
-		for h := range sc.owned {
-			owned = append(owned, h)
+		n, _, e := syscall.RawSyscall(syscall.SYS_WRITEV, uintptr(sc.fd), uintptr(unsafe.Pointer(&pc.iov[0])), uintptr(niov))
+		if e == syscall.EAGAIN {
+			n = 0
+		} else if e != 0 {
+			pc.teardown(sc, false)
+			return
 		}
-		sc.owned = nil
-		sc.omu.Unlock()
-		// Unregister off this goroutine: teardown can run on a core's
-		// flusher (flush failure), and unregistration round-trips through
-		// that core's command channel. The work funnels through the
-		// server's single reaper goroutine instead of spawning one
-		// goroutine per torn-down connection.
-		sc.srv.queueUnregister(owned)
+		if n > 0 {
+			done := pc.advance(sc, int(n))
+			s.m.flushes.Inc()
+			s.m.flushBatch.Record(int64(done))
+			pc.flushes.Add(1)
+			pc.flushMsgs.Add(int64(done))
+		}
+		if int(n) < size {
+			if n > 0 || sc.stallSince == 0 {
+				sc.stallSince = now
+			}
+			sc.waitOut = true
+			pc.interest(sc)
+			return
+		}
+		sc.stallSince = 0
+	}
+	if sc.wh > 0 && (sc.wh == len(sc.wq) || sc.wh >= 1024 && 2*sc.wh >= len(sc.wq)) {
+		// Reuse the queue once it drains, or compact a lagging one.
+		n := copy(sc.wq, sc.wq[sc.wh:])
+		clear(sc.wq[n:])
+		sc.wq, sc.wh = sc.wq[:n], 0
+	}
+	pc.interest(sc)
+}
+
+func (pc *pcore) addIOV(niov, size int, b []byte) (int, int) {
+	pc.iov[niov] = syscall.Iovec{Base: &b[0]}
+	pc.iov[niov].SetLen(len(b))
+	return niov + 1, size + len(b)
+}
+
+// advance retires n written bytes off the front of the write queue,
+// releasing the leases of whole messages, and returns how many completed.
+func (pc *pcore) advance(sc *srvConn, n int) int {
+	done := 0
+	for n > 0 {
+		m := &sc.wq[sc.wh]
+		rest := protocol.HeaderSize + len(m.payload) - sc.woff
+		if n < rest {
+			sc.woff += n
+			break
+		}
+		n -= rest
+		bufpool.ReleaseIf(m.lease)
+		*m = outMsg{}
+		sc.wh++
+		sc.woff = 0
+		done++
+	}
+	return done
+}
+
+// dropQueued releases every unsent response.
+func (pc *pcore) dropQueued(sc *srvConn) {
+	for i := sc.wh; i < len(sc.wq); i++ {
+		bufpool.ReleaseIf(sc.wq[i].lease)
+	}
+	sc.wq, sc.wh, sc.woff = nil, 0, 0
+}
+
+// teardown closes a connection on its loop: queued responses are dropped
+// with their leases, the attachment closes, and every tenant registered
+// over the connection is unregistered (dropping held sequencer work and
+// returning unspent reservations). Idempotent.
+func (pc *pcore) teardown(sc *srvConn, reaped bool) {
+	if sc.down {
+		return
+	}
+	sc.omu.Lock()
+	sc.down = true
+	box := sc.obox
+	sc.obox = nil
+	sc.omu.Unlock()
+	for i := range box {
+		bufpool.ReleaseIf(box[i].lease)
+	}
+	pc.dropQueued(sc)
+	bufpool.ReleaseIf(sc.rlease)
+	bufpool.ReleaseIf(sc.rbuf)
+	sc.rlease, sc.rbuf = nil, nil
+	syscall.Close(sc.fd) // leaves the epoll set with it
+	if sc.slot >= 0 {
+		pc.conns[sc.slot] = nil
+		pc.slots = append(pc.slots, sc.slot)
+	}
+	sc.attach(nil)
+	s := pc.srv
+	s.connMu.Lock()
+	delete(s.conns, sc)
+	s.connMu.Unlock()
+	s.connCount.Add(-1)
+	pc.nconns.Add(-1)
+	if reaped {
+		s.m.reaped.Inc()
+		s.m.journal.Record(obs.EvReap, s.cfg.NodeName, -1, "idle connection reaped")
+	}
+	if owned := sc.owned; len(owned) > 0 {
+		s.control(func() {
+			for h := range owned {
+				if s.unregisterTenant(nil, h) == protocol.StatusOK {
+					s.m.removed.Inc()
+				}
+			}
+		})
+	}
+	sc.owned = nil
+}
+
+// park hands a control opcode to the control goroutine. A TCP connection
+// is not read until op's reply is queued, which keeps its order; the
+// payload is copied because the receive buffer moves on.
+func (pc *pcore) park(rsp responder, hdr protocol.Header, payload []byte, op func(responder, *protocol.Header, []byte)) {
+	payload = bytes.Clone(payload)
+	sc, _ := rsp.(*srvConn)
+	if sc != nil {
+		sc.parked = true
+		pc.interest(sc)
+	}
+	pc.srv.control(func() {
+		op(rsp, &hdr, payload)
+		if sc != nil {
+			sc.core.post(inItem{fn: func() { sc.core.unpark(sc) }})
+		}
 	})
 }
 
-// addOwned records a tenant registered over this connection. If the
-// connection already tore down (the registration raced teardown), the
-// tenant is unregistered immediately instead of leaking.
-func (sc *srvConn) addOwned(h uint16) {
-	sc.omu.Lock()
-	if sc.owned != nil {
-		sc.owned[h] = struct{}{}
-		sc.omu.Unlock()
+// unpark resumes reading a connection whose control op replied; the reply
+// goes ahead of anything the resumed parse queues.
+func (pc *pcore) unpark(sc *srvConn) {
+	if sc.down {
 		return
 	}
-	sc.omu.Unlock()
-	sc.srv.unregisterTenant(h)
+	sc.parked = false
+	sc.lastRead = pc.srv.now()
+	pc.takeOutbox(sc)
+	pc.parse(sc)
+	pc.interest(sc)
 }
 
-// dropOwned forgets a tenant explicitly unregistered by the client.
-func (sc *srvConn) dropOwned(h uint16) {
-	sc.omu.Lock()
-	delete(sc.owned, h)
-	sc.omu.Unlock()
-}
-
-// isTimeout reports whether err is a deadline expiry.
-func isTimeout(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// readLoop decodes requests until the connection dies. The read deadline
-// is re-armed before every message, so a half-open peer (one that will
-// never send again) is reaped after IdleTimeout instead of pinning a
-// goroutine and its tenant registrations forever.
-//
-// The loop is allocation-free at steady state: one Message is reused for
-// every request and payloads land in pooled leases. dispatch borrows the
-// lease; paths that need the payload beyond dispatch (the write path's
-// trip through the scheduler) retain their own reference.
-func (sc *srvConn) readLoop() {
-	reaped := false
-	defer func() {
-		sc.teardown(reaped)
-		sc.srv.wg.Done()
-	}()
-	idle := sc.srv.cfg.IdleTimeout
-	br := bufio.NewReaderSize(sc.c, 64<<10)
-	var (
-		msg   protocol.Message
-		lease *bufpool.Buf
-	)
-	alloc := func(n int) []byte {
-		lease = bufpool.Get(n)
-		return lease.Bytes()
-	}
-	for {
-		if idle > 0 {
-			sc.c.SetReadDeadline(time.Now().Add(idle))
-		}
-		lease = nil
-		if err := protocol.ReadMessageInto(br, &msg, alloc); err != nil {
-			bufpool.ReleaseIf(lease) // payload leased before a truncation error
-			reaped = isTimeout(err)
-			return
-		}
-		sc.srv.dispatch(sc, &msg, lease)
-		bufpool.ReleaseIf(lease)
-	}
-}
-
-// dispatch routes one decoded request from any transport. lease, when
-// non-nil, backs m.Payload; dispatch borrows it for the duration of the
-// call and the write path retains its own reference before handing the
-// payload to the scheduler.
-func (s *Server) dispatch(rsp responder, m *protocol.Message, lease *bufpool.Buf) {
+// dispatch routes one decoded request from either transport, on the loop
+// of the core that read it. lease, when non-nil, backs m.Payload; dispatch
+// borrows it and the write path retains its own reference.
+func (pc *pcore) dispatch(rsp responder, m *protocol.Message, lease *bufpool.Buf) {
+	s := pc.srv
 	hdr := m.Header
-	// A response arriving on a server connection is an ack from whatever
-	// is attached to that connection (the join channel and the diff stream
-	// carry requests out and acks back in). Connections with no attachment,
-	// and datagrams, have nobody to ack: the frame is dropped.
+	sc, isTCP := rsp.(*srvConn)
+	// A response is an ack for the connection's attachment; with none (or
+	// on a datagram) it is dropped.
 	if hdr.IsResponse() {
-		if sc, ok := rsp.(*srvConn); ok {
+		if isTCP {
 			sc.amu.Lock()
 			a := sc.att
 			sc.amu.Unlock()
@@ -467,269 +539,60 @@ func (s *Server) dispatch(rsp responder, m *protocol.Message, lease *bufpool.Buf
 		}
 		return
 	}
-	// Transports with bounded response sizes (UDP) cap the I/O length.
-	if lim, ok := rsp.(interface{ maxIO() uint32 }); ok && hdr.Count > lim.maxIO() {
-		reject(rsp, &hdr, protocol.StatusBadRequest)
+	// Datagram responses are bounded: UDP caps the I/O length.
+	if !isTCP && hdr.Count > MaxUDPIO {
+		reject(pc, rsp, &hdr, protocol.StatusBadRequest)
 		return
 	}
 	switch hdr.Opcode {
+	case protocol.OpRead, protocol.OpWrite:
+		pc.dispatchIO(rsp, m, lease)
+
 	case protocol.OpRegister:
+		resp := protocol.Header{Opcode: protocol.OpRegister, Flags: protocol.FlagResponse, Cookie: hdr.Cookie}
 		var reg protocol.Registration
-		resp := protocol.Header{
-			Opcode: protocol.OpRegister,
-			Flags:  protocol.FlagResponse,
-			Cookie: hdr.Cookie,
-		}
 		if err := reg.Unmarshal(m.Payload); err != nil {
 			resp.Status = protocol.StatusBadRequest
 		} else {
-			// Core-affine registration: a tenant registered over a TCP
-			// connection is pinned to that connection's core, so its
-			// requests never cross a core boundary. Coreless transports
-			// (UDP) fall back to least-loaded placement.
+			// A tenant registered over a TCP connection is pinned to its
+			// core; datagram registrations go to the least-loaded core.
 			pin := -1
-			if sc, ok := rsp.(*srvConn); ok {
-				pin = sc.core.id
+			if isTCP {
+				pin = pc.id
 			}
-			resp.Handle, resp.Status = s.registerTenant(reg, pin)
+			resp.Handle, resp.Status = s.registerTenant(pc, reg, pin)
 			if resp.Status == protocol.StatusOK {
 				s.m.registered.Inc()
-				if sc, ok := rsp.(*srvConn); ok {
-					sc.addOwned(resp.Handle)
+				if isTCP {
+					sc.owned[resp.Handle] = struct{}{}
 				}
 			}
 		}
-		rsp.send(&resp, nil, nil)
+		rsp.send(pc, resp, nil, nil)
 
 	case protocol.OpUnregister:
-		resp := protocol.Header{
-			Opcode: protocol.OpUnregister,
-			Flags:  protocol.FlagResponse,
-			Handle: hdr.Handle,
-			Cookie: hdr.Cookie,
-			Status: s.unregisterTenant(hdr.Handle),
-		}
-		if resp.Status == protocol.StatusOK {
+		st := s.unregisterTenant(pc, hdr.Handle)
+		if st == protocol.StatusOK {
 			s.m.removed.Inc()
-			if sc, ok := rsp.(*srvConn); ok {
-				sc.dropOwned(hdr.Handle)
+			if isTCP {
+				delete(sc.owned, hdr.Handle)
 			}
 		}
-		rsp.send(&resp, nil, nil)
-
-	case protocol.OpRead, protocol.OpWrite:
-		arrival := s.now()
-		// Shard-map enforcement first: a request for a range this node
-		// does not own is a routing error, not an I/O — redirect before
-		// fences, tenants or QoS get a say. Volume-bound tenants are
-		// exempt: their LBAs are volume-logical, and a volume lives
-		// wholly on the node that created it (volume DR is the
-		// snapshot-diff stream, not shard routing). The tenant lookup is
-		// hoisted for that test only — unknown handles still take the
-		// shard check first so a stale client is redirected, not told
-		// NoTenant.
-		vten, vok := s.lookup(hdr.Handle)
-		if !(vok && vten.vol != nil) && !s.checkShard(&hdr) {
-			s.rejectWrongShard(rsp, m)
-			return
-		}
-		s.m.noteShardOp(s.shardIndex(&hdr), hdr.Opcode == protocol.OpWrite)
-		if hdr.Opcode == protocol.OpWrite {
-			s.m.writes.Inc()
-			// Split-brain fence: a deposed or backup-role server refuses
-			// writes, as does one receiving a stale epoch stamp.
-			if st := s.writeAllowed(hdr.Epoch); st != protocol.StatusOK {
-				s.m.staleRejects.Inc()
-				reject(rsp, &hdr, st)
-				return
-			}
-			// End-to-end integrity: a write whose CRC32C trailer failed
-			// verification is refused before it can touch media.
-			if m.ChecksumErr {
-				s.m.checksumErrs.Inc()
-				s.m.journal.Record(obs.EvChecksum, s.cfg.NodeName, -1,
-					"write lba=%d len=%d failed CRC32C verification", hdr.LBA, hdr.Count)
-				reject(rsp, &hdr, protocol.StatusBadChecksum)
-				return
-			}
-		} else {
-			s.m.reads.Inc()
-		}
-		ten, ok := vten, vok
-		if !ok {
-			s.m.rejected.Inc()
-			reject(rsp, &hdr, protocol.StatusNoTenant)
-			return
-		}
-		// Graceful shed: refuse best-effort work under overload instead
-		// of letting readers block on a saturated scheduler queue. LC
-		// tenants are never shed.
-		if s.shedNow(ten) {
-			s.m.shed.Inc()
-			s.m.journal.Record(obs.EvShed, s.cfg.NodeName, -1,
-				"best-effort tenant %d shed under overload", ten.t.ID)
-			reject(rsp, &hdr, protocol.StatusOverloaded)
-			return
-		}
-		// Volume-bound tenants are bounded by the volume's logical size;
-		// raw tenants by the device.
-		aclSize := s.devices[ten.device].backend.Size()
-		if ten.vol != nil {
-			aclSize = ten.vol.LogicalBytes()
-		}
-		if st := checkACL(&ten.reg, &hdr, aclSize); st != protocol.StatusOK {
-			s.m.rejected.Inc()
-			reject(rsp, &hdr, st)
-			return
-		}
-		op := core.OpRead
-		if hdr.Opcode == protocol.OpWrite {
-			op = core.OpWrite
-		}
-		ctx := &reqCtx{conn: rsp, ten: ten, hdr: hdr, payload: m.Payload}
-		if op == core.OpWrite && lease != nil {
-			// The payload outlives dispatch (device write + replication
-			// forward run on the core goroutine later): take a
-			// reference the completion path releases.
-			lease.Retain()
-			ctx.lease = lease
-		}
-		var costOverride core.Tokens
-		if s.cache != nil {
-			if op == core.OpRead {
-				costOverride = s.probeCache(ctx, ten)
-			}
-		}
-		if op == core.OpWrite {
-			// FDP-style lifetime hints: real backends have no placement
-			// streams, so the hint is counted (capacity planning signal),
-			// not acted on — the simulator carries the placement model.
-			s.m.hintWrites[hdr.LifetimeHint()].Inc()
-		}
-		ctx.span.ID = s.m.spanID()
-		ctx.span.Tenant = ten.t.ID
-		ctx.span.Write = op == core.OpWrite
-		ctx.span.Size = int(hdr.Count)
-		// This is a serve span whether or not the caller traced it —
-		// HopClient is the zero value, so leaving Hop unset would make
-		// untraced spans masquerade as client roots in /traces.
-		ctx.span.Node = s.cfg.NodeName
-		ctx.span.Hop = obs.HopServe
-		if m.TraceID != 0 {
-			// The request carried a trace trailer: adopt the caller's
-			// trace context so this serve span stitches under the
-			// client's (or a relay's) span in the cross-node timeline.
-			ctx.span.Trace = m.TraceID
-			ctx.span.Parent = m.ParentSpan
-		}
-		ctx.span.Mark(obs.StageArrival, arrival)
-		ctx.span.Mark(obs.StageParse, s.now())
-		req := &core.Request{
-			Op:           op,
-			Block:        uint64(hdr.LBA) * protocol.BlockSize / 4096,
-			Size:         int(hdr.Count),
-			Cookie:       hdr.Cookie,
-			Arrival:      arrival,
-			Context:      ctx,
-			CostOverride: costOverride,
-		}
-		if !ten.submitIO(s, enqueued{ten: ten, req: req}) {
-			ctx.releaseLease()
-			s.m.rejected.Inc()
-			reject(rsp, &hdr, protocol.StatusNoTenant)
-		}
+		reject(pc, rsp, &hdr, st)
 
 	case protocol.OpBarrier:
 		s.m.barriers.Inc()
 		ten, ok := s.lookup(hdr.Handle)
-		if !ok {
-			reject(rsp, &hdr, protocol.StatusNoTenant)
-			return
-		}
-		if !ten.submitBarrier(rsp, hdr) {
-			reject(rsp, &hdr, protocol.StatusNoTenant)
+		if !ok || !ten.submitBarrier(pc, rsp, hdr) {
+			reject(pc, rsp, &hdr, protocol.StatusNoTenant)
 		}
 
 	case protocol.OpStats:
-		ten, ok := s.lookup(hdr.Handle)
-		if !ok {
-			reject(rsp, &hdr, protocol.StatusNoTenant)
-			return
-		}
-		// Tenant scheduler state is owned by its core; read it there.
-		pc := s.cores[ten.coreID]
-		done := make(chan protocol.TenantStats, 1)
-		pc.do(func() {
-			st := ten.t.Stats()
-			done <- protocol.TenantStats{
-				Enqueued:        st.Enqueued,
-				Submitted:       st.Submitted,
-				SubmittedTokens: uint64(st.SubmittedTokens),
-				NegLimitHits:    st.NegLimitHits,
-				Donated:         uint64(st.Donated),
-				Claimed:         uint64(st.Claimed),
-				QueueLen:        uint64(ten.t.QueueLen()),
-				Tokens:          ten.t.Tokens(),
-			}
-		})
-		select {
-		case stats := <-done:
-			rsp.send(&protocol.Header{
-				Opcode: protocol.OpStats,
-				Flags:  protocol.FlagResponse,
-				Handle: hdr.Handle,
-				Cookie: hdr.Cookie,
-			}, stats.Marshal(), nil)
-		case <-s.done:
-		}
-
-	case protocol.OpJoin:
-		// A backup (Count == 0) or a migration sink (Count != 0, window
-		// [LBA, LBA+Count) blocks) attaches over this connection. TCP
-		// only: the join channel carries the ordered replication stream.
-		resp := protocol.Header{
-			Opcode: protocol.OpJoin,
-			Flags:  protocol.FlagResponse,
-			Cookie: hdr.Cookie,
-			LBA:    hdr.LBA,
-			Count:  hdr.Count,
-		}
-		sc, isTCP := rsp.(*srvConn)
-		if !isTCP || s.backupRole.Load() {
-			resp.Status = protocol.StatusBadRequest
-			rsp.send(&resp, nil, nil)
-			return
-		}
-		s.AdoptEpoch(hdr.Epoch)
-		resp.Epoch = s.ClusterEpoch()
-		// The OK must be queued ahead of the catch-up stream — the
-		// per-connection FIFO guarantees the backup reads it as its
-		// handshake response before the first chunk.
-		rsp.send(&resp, nil, nil)
-		if hdr.Count != 0 {
-			s.joinMigration(sc, hdr.LBA, hdr.Count)
-		} else {
-			s.joinReplica(sc)
-		}
-
-	case protocol.OpPromote:
-		e, st := s.Promote(hdr.Epoch)
-		rsp.send(&protocol.Header{
-			Opcode: protocol.OpPromote,
-			Flags:  protocol.FlagResponse,
-			Cookie: hdr.Cookie,
-			Epoch:  e,
-			Status: st,
-		}, nil, nil)
+		pc.stats(rsp, hdr)
 
 	case protocol.OpFence:
-		e := s.Fence(hdr.Epoch)
-		rsp.send(&protocol.Header{
-			Opcode: protocol.OpFence,
-			Flags:  protocol.FlagResponse,
-			Cookie: hdr.Cookie,
-			Epoch:  e,
-		}, nil, nil)
+		rsp.send(pc, protocol.Header{Opcode: protocol.OpFence, Flags: protocol.FlagResponse,
+			Cookie: hdr.Cookie, Epoch: s.Fence(hdr.Epoch)}, nil, nil)
 
 	case protocol.OpPing:
 		var role uint32
@@ -739,7 +602,7 @@ func (s *Server) dispatch(rsp responder, m *protocol.Message, lease *bufpool.Buf
 		if s.fenced.Load() {
 			role |= protocol.RoleFencedBit
 		}
-		rsp.send(&protocol.Header{
+		rsp.send(pc, protocol.Header{
 			Opcode: protocol.OpPing,
 			Flags:  protocol.FlagResponse,
 			Cookie: hdr.Cookie,
@@ -749,27 +612,166 @@ func (s *Server) dispatch(rsp responder, m *protocol.Message, lease *bufpool.Buf
 			LBA: uint32(s.migr.Pending()),
 		}, nil, nil)
 
-	case protocol.OpShardMap:
-		s.handleShardMap(rsp, &hdr, m.Payload)
+	case protocol.OpTrim:
+		s.handleTrim(pc, rsp, &hdr)
 
+	case protocol.OpJoin:
+		pc.park(rsp, hdr, nil, s.handleJoin)
+	case protocol.OpPromote:
+		pc.park(rsp, hdr, nil, s.handlePromote)
+	case protocol.OpShardMap:
+		pc.park(rsp, hdr, m.Payload, s.handleShardMap)
 	case protocol.OpVolCreate, protocol.OpVolDelete, protocol.OpVolSnapshot,
 		protocol.OpVolClone, protocol.OpVolDiff, protocol.OpVolList:
-		s.handleVolOp(rsp, &hdr, m.Payload)
-
+		pc.park(rsp, hdr, m.Payload, s.handleVolOp)
 	case protocol.OpVolStream:
-		s.handleVolStream(rsp, &hdr, m.Payload)
-
-	case protocol.OpTrim:
-		s.handleTrim(rsp, &hdr)
+		pc.park(rsp, hdr, m.Payload, s.handleVolStream)
 
 	default:
-		reject(rsp, &hdr, protocol.StatusBadRequest)
+		reject(pc, rsp, &hdr, protocol.StatusBadRequest)
 	}
 }
 
-// reject replies with an error status without scheduling.
-func reject(rsp responder, hdr *protocol.Header, st protocol.Status) {
-	rsp.send(&protocol.Header{
+// stats answers OpStats on the tenant's core, which owns its scheduler
+// state; a connection on another core waits for the reply, parked.
+func (pc *pcore) stats(rsp responder, hdr protocol.Header) {
+	ten, ok := pc.srv.lookup(hdr.Handle)
+	if !ok {
+		reject(pc, rsp, &hdr, protocol.StatusNoTenant)
+		return
+	}
+	tpc := pc.srv.cores[ten.coreID]
+	sc, isTCP := rsp.(*srvConn)
+	park := isTCP && tpc != pc
+	if park {
+		sc.parked = true
+		pc.interest(sc)
+	}
+	onCore(pc, tpc, func() {
+		st := ten.t.Stats()
+		stats := protocol.TenantStats{
+			Enqueued:        st.Enqueued,
+			Submitted:       st.Submitted,
+			SubmittedTokens: uint64(st.SubmittedTokens),
+			NegLimitHits:    st.NegLimitHits,
+			Donated:         uint64(st.Donated),
+			Claimed:         uint64(st.Claimed),
+			QueueLen:        uint64(ten.t.QueueLen()),
+			Tokens:          ten.t.Tokens(),
+		}
+		rsp.send(tpc, protocol.Header{Opcode: protocol.OpStats, Flags: protocol.FlagResponse,
+			Handle: hdr.Handle, Cookie: hdr.Cookie}, stats.Marshal(), nil)
+		if park {
+			pc.post(inItem{fn: func() { pc.unpark(sc) }})
+		}
+	})
+}
+
+// dispatchIO admits one read or write into a request record and submits
+// it to its tenant's core.
+func (pc *pcore) dispatchIO(rsp responder, m *protocol.Message, lease *bufpool.Buf) {
+	s := pc.srv
+	hdr := m.Header
+	arrival := s.now()
+	// Shard-map enforcement first: a range this node does not own is a
+	// routing error. Volume-bound tenants are exempt (a volume lives wholly
+	// on its node); an unknown handle is still redirected, not NoTenant.
+	ten, ok := s.lookup(hdr.Handle)
+	if !(ok && ten.vol != nil) && !s.checkShard(&hdr) {
+		s.rejectWrongShard(pc, rsp, m)
+		return
+	}
+	s.m.noteShardOp(s.shardIndex(&hdr), hdr.Opcode == protocol.OpWrite)
+	op := core.OpRead
+	if hdr.Opcode == protocol.OpWrite {
+		op = core.OpWrite
+		s.m.writes.Inc()
+		// Split-brain fence: a deposed or backup-role server refuses
+		// writes, as does one receiving a stale epoch stamp.
+		if st := s.writeAllowed(hdr.Epoch); st != protocol.StatusOK {
+			s.m.staleRejects.Inc()
+			reject(pc, rsp, &hdr, st)
+			return
+		}
+		// A write whose CRC32C trailer failed is refused before media.
+		if m.ChecksumErr {
+			s.m.checksumErrs.Inc()
+			s.m.journal.Record(obs.EvChecksum, s.cfg.NodeName, -1,
+				"write lba=%d len=%d failed CRC32C verification", hdr.LBA, hdr.Count)
+			reject(pc, rsp, &hdr, protocol.StatusBadChecksum)
+			return
+		}
+	} else {
+		s.m.reads.Inc()
+	}
+	if !ok {
+		s.m.rejected.Inc()
+		reject(pc, rsp, &hdr, protocol.StatusNoTenant)
+		return
+	}
+	// Graceful shed: refuse best-effort work under overload; LC tenants
+	// are never shed.
+	if s.shedNow(ten) {
+		s.m.shed.Inc()
+		s.m.journal.Record(obs.EvShed, s.cfg.NodeName, -1,
+			"best-effort tenant %d shed under overload", ten.t.ID)
+		reject(pc, rsp, &hdr, protocol.StatusOverloaded)
+		return
+	}
+	if st := checkACL(&ten.reg, &hdr, s.aclSize(ten)); st != protocol.StatusOK {
+		s.m.rejected.Inc()
+		reject(pc, rsp, &hdr, st)
+		return
+	}
+	c := pc.record()
+	c.conn, c.ten, c.hdr, c.payload = rsp, ten, hdr, m.Payload
+	if op == core.OpWrite && lease != nil {
+		// The payload outlives dispatch (device write, replication
+		// forward): take a reference the record releases.
+		lease.Retain()
+		c.lease = lease
+	}
+	var costOverride core.Tokens
+	if s.cache != nil && op == core.OpRead {
+		costOverride = s.probeCache(c, ten)
+	}
+	if op == core.OpWrite {
+		// Lifetime hints are counted: real backends have no placement streams.
+		s.m.hintWrites[hdr.LifetimeHint()].Inc()
+	}
+	c.span.ID = s.m.spanID()
+	c.span.Tenant = ten.t.ID
+	c.span.Write = op == core.OpWrite
+	c.span.Size = int(hdr.Count)
+	// A serve span whether or not the caller traced it (the zero Hop would
+	// pass for a client root); a traced one stitches under the caller's.
+	c.span.Node = s.cfg.NodeName
+	c.span.Hop = obs.HopServe
+	if m.TraceID != 0 {
+		c.span.Trace = m.TraceID
+		c.span.Parent = m.ParentSpan
+	}
+	c.span.Mark(obs.StageArrival, arrival)
+	c.span.Mark(obs.StageParse, s.now())
+	c.Request = core.Request{
+		Op:           op,
+		Block:        uint64(hdr.LBA) * protocol.BlockSize / 4096,
+		Size:         int(hdr.Count),
+		Cookie:       hdr.Cookie,
+		Arrival:      arrival,
+		Context:      c,
+		CostOverride: costOverride,
+	}
+	if !ten.submitIO(pc, c) {
+		s.m.rejected.Inc()
+		reject(pc, rsp, &hdr, protocol.StatusNoTenant)
+		pc.release(c)
+	}
+}
+
+// reject replies with an error status (or a bare OK) without scheduling.
+func reject(pc *pcore, rsp responder, hdr *protocol.Header, st protocol.Status) {
+	rsp.send(pc, protocol.Header{
 		Opcode: hdr.Opcode,
 		Flags:  protocol.FlagResponse,
 		Handle: hdr.Handle,

@@ -3,9 +3,9 @@ package server
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -75,52 +75,70 @@ func TestIdleReapGoroutineRegression(t *testing.T) {
 	})
 }
 
-// flushFailConn is a netConn whose writes always fail: the seam for
-// exercising the send/flush error path deterministically.
-type flushFailConn struct{ closed chan struct{} }
-
-func (f *flushFailConn) Read(p []byte) (int, error) { <-f.closed; return 0, net.ErrClosed }
-func (f *flushFailConn) Write(p []byte) (int, error) {
-	return len(p) / 2, io.ErrShortWrite
-}
-func (f *flushFailConn) Close() error {
-	select {
-	case <-f.closed:
-	default:
-		close(f.closed)
+// rawRegister registers a tenant over a raw connection.
+func rawRegister(t *testing.T, c net.Conn, reg protocol.Registration) uint16 {
+	t.Helper()
+	frame, err := protocol.AppendMessage(nil, &protocol.Header{Opcode: protocol.OpRegister, Cookie: 1}, reg.Marshal())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nil
+	if _, err := c.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	m, err := protocol.ReadMessage(c)
+	if err != nil || m.Header.Status != protocol.StatusOK {
+		t.Fatalf("register: %v %v", err, m)
+	}
+	return m.Header.Handle
 }
-func (f *flushFailConn) SetReadDeadline(time.Time) error  { return nil }
-func (f *flushFailConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestFlushFailureTearsDownConn is the satellite bugfix test: a failed
-// response flush (short write) must tear the connection down — closed,
-// removed from the server's set, and its tenants unregistered — instead
-// of being ignored and leaving a half-dead connection behind.
+// serverSide finds the server's end of a client connection.
+func serverSide(t *testing.T, srv *Server, c net.Conn) *srvConn {
+	t.Helper()
+	var found *srvConn
+	waitFor(t, 5*time.Second, "connection adopted", func() bool {
+		srv.connMu.Lock()
+		defer srv.connMu.Unlock()
+		for sc := range srv.conns {
+			if sa, err := syscall.Getpeername(sc.fd); err == nil &&
+				sa.(*syscall.SockaddrInet4).Port == c.LocalAddr().(*net.TCPAddr).Port {
+				found = sc
+			}
+		}
+		return found != nil
+	})
+	return found
+}
+
+// TestFlushFailureTearsDownConn: a writev that fails — the peer reset the
+// connection (SO_LINGER 0) — tears the connection down: closed, removed
+// from the server's set and its tenants unregistered, instead of leaving
+// it half-dead. The reset and the writev run inside one loop callback, so
+// the read path cannot notice the reset first.
 func TestFlushFailureTearsDownConn(t *testing.T) {
 	srv, _ := startServer(t, nil)
-	fc := &flushFailConn{closed: make(chan struct{})}
-	sc := newSrvConn(srv, fc)
-
-	h, st := srv.registerTenant(beWritable(), sc.core.id)
-	if st != protocol.StatusOK {
-		t.Fatalf("register: %v", st)
+	peer, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc.addOwned(h)
-
-	// Any response write fails; the writer goroutine's flush must trigger
-	// full teardown (asynchronously — send only enqueues now).
-	sc.send(&protocol.Header{Opcode: protocol.OpRead, Flags: protocol.FlagResponse}, nil, nil)
-
-	waitFor(t, 5*time.Second, "flush failure closed the connection", func() bool {
-		select {
-		case <-fc.closed:
-			return true
-		default:
-			return false
+	h := rawRegister(t, peer, beWritable())
+	sc := serverSide(t, srv, peer)
+	down := make(chan bool, 1)
+	sc.core.post(inItem{fn: func() {
+		peer.(*net.TCPConn).SetLinger(0)
+		peer.Close() // RST
+		for i := 0; i < 100 && !sc.down; i++ {
+			sc.send(sc.core, protocol.Header{Opcode: protocol.OpPing, Flags: protocol.FlagResponse}, nil, nil)
+			sc.core.flush(sc, srv.now())
+			if !sc.down {
+				time.Sleep(time.Millisecond) // the reset is still in flight
+			}
 		}
-	})
+		down <- sc.down
+	}})
+	if !<-down {
+		t.Fatal("writev to a reset peer did not tear the connection down")
+	}
 	waitFor(t, 5*time.Second, "conn removed from server set", func() bool {
 		srv.connMu.Lock()
 		defer srv.connMu.Unlock()
@@ -131,6 +149,78 @@ func TestFlushFailureTearsDownConn(t *testing.T) {
 		_, ok := srv.lookup(h)
 		return !ok
 	})
+}
+
+// TestStalledReaderTornDownAtWriteTimeout: a client that stops reading
+// while the server owes it 64 MiB of responses is torn down once its
+// unsent tail has made no progress for WriteTimeout — and a second
+// connection on the same core is served all the while: the loop never
+// waits on a full socket.
+func TestStalledReaderTornDownAtWriteTimeout(t *testing.T) {
+	const wt = 300 * time.Millisecond
+	srv, cl := startServer(t, func(c *Config) {
+		c.Cores = 1
+		c.WriteTimeout = wt
+	})
+	h, err := cl.Register(beWritable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	rh := rawRegister(t, stalled, beWritable())
+	var reqs []byte
+	for i := 0; i < 64<<20/4096; i++ {
+		reqs, _ = protocol.AppendMessage(reqs, &protocol.Header{Opcode: protocol.OpRead, Handle: rh, Cookie: uint64(i), Count: 4096}, nil)
+	}
+	if _, err := stalled.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for srv.connCount.Load() > 1 {
+		if _, err := cl.Read(h, 0, 4096); err != nil {
+			t.Fatalf("the other connection was not served during the stall: %v", err)
+		}
+		if time.Since(start) > 20*time.Second {
+			t.Fatal("the stalled reader was never torn down")
+		}
+	}
+	if el := time.Since(start); el < wt {
+		t.Fatalf("torn down after %v, before WriteTimeout %v", el, wt)
+	}
+	if _, err := cl.Read(h, 0, 4096); err != nil {
+		t.Fatalf("read after the teardown: %v", err)
+	}
+}
+
+// TestIdleLoopDoesNotSpin: an idle server with one open connection burns
+// (almost) no CPU — its loops sleep in epoll_wait, waking only for the
+// timeout sweep.
+func TestIdleLoopDoesNotSpin(t *testing.T) {
+	_, cl := startServer(t, nil)
+	h, err := cl.Register(beWritable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Read(h, 0, 512); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	before := cpu()
+	time.Sleep(2 * time.Second)
+	if used := cpu() - before; used > 20*time.Millisecond {
+		t.Fatalf("idle server used %v of CPU in 2s, want < 20ms", used)
+	}
 }
 
 // TestDeadConnReturnsLCReservation: when a connection dies, its tenants'

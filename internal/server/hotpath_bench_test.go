@@ -1,12 +1,15 @@
 package server
 
 import (
+	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/reflex-go/reflex/internal/client"
 	"github.com/reflex-go/reflex/internal/core"
+	"github.com/reflex-go/reflex/internal/protocol"
 	"github.com/reflex-go/reflex/internal/storage"
 )
 
@@ -247,4 +250,89 @@ func BenchmarkHotPathTCPMulticore(b *testing.B) {
 	}
 	b.ReportMetric(float64(per*n)/b.Elapsed().Seconds(), "msg/s")
 	b.ReportMetric(float64(n), "cores")
+}
+
+// TestRequestPathZeroAlloc pins the steady-state request path at zero
+// heap allocations. A raw-frame loopback client builds its frames with
+// protocol.AppendMessage into reused buffers and reads responses into one
+// reused buffer, so the process's malloc count is the server's: 20 000
+// pipelined ops of each of raw read, raw write, cache hit and volume
+// read/write must average at most 0.01 allocations each.
+func TestRequestPathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const ops, window = 20000, 64
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		write  func(i int) bool
+	}{
+		{"raw read", nil, func(int) bool { return false }},
+		{"raw write", nil, func(int) bool { return true }},
+		{"cache hit", func(c *Config) { c.CacheBytes, c.CacheAdmit = 4<<20, "always" }, func(int) bool { return false }},
+		{"volume read/write", func(c *Config) { c.VolumeBytes = 16 << 20 }, func(i int) bool { return i%2 == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, cl := startServer(t, func(c *Config) {
+				c.Cores = 1
+				if tc.mutate != nil {
+					tc.mutate(c)
+				}
+			})
+			reg := beWritable()
+			if srv.vols != nil {
+				vol, err := cl.VolCreate("zero", 8192)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg.Volume = uint8(vol)
+			}
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			h := rawRegister(t, conn, reg)
+			data := make([]byte, 4096)
+			out := make([]byte, 0, window*(protocol.HeaderSize+len(data)))
+			in := make([]byte, protocol.HeaderSize+len(data))
+			run := func(n int) {
+				for done := 0; done < n; done += window {
+					out = out[:0]
+					for i := done; i < done+window; i++ {
+						hdr := protocol.Header{Opcode: protocol.OpRead, Handle: h, Cookie: uint64(i), LBA: 8, Count: 4096}
+						payload := data[:0]
+						if tc.write(i) {
+							hdr.Opcode, payload = protocol.OpWrite, data
+						}
+						out, _ = protocol.AppendMessage(out, &hdr, payload)
+					}
+					if _, err := conn.Write(out); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < window; i++ {
+						var hdr protocol.Header
+						if _, err := io.ReadFull(conn, in[:protocol.HeaderSize]); err != nil {
+							t.Fatal(err)
+						}
+						if err := hdr.Unmarshal(in); err != nil || hdr.Status != protocol.StatusOK {
+							t.Fatalf("response %+v: %v", hdr, err)
+						}
+						if _, err := io.ReadFull(conn, in[protocol.HeaderSize:protocol.HeaderSize+int(hdr.Len)]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			run(4 * window) // warm the pools, the free list and the queues
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(ops)
+			runtime.ReadMemStats(&after)
+			if per := float64(after.Mallocs-before.Mallocs) / ops; per > 0.01 {
+				t.Fatalf("%.3f allocations per op, want <= 0.01", per)
+			}
+		})
+	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // metrics is the real server's telemetry: atomic counters and histograms
-// on the request path (allocation-free, safe across connection reader
-// goroutines and scheduler threads), read-side gauges over atomics and
-// channel lengths, plus the per-request span trace ring.
+// on the request path (allocation-free, safe across core loops and the
+// goroutines that complete off them), read-side gauges over atomics, plus
+// the per-request span trace ring.
 //
 // Scheduler and tenant internals are goroutine-confined to their thread,
 // so none of the functions registered here touch them; cross-goroutine
@@ -105,12 +105,10 @@ type metrics struct {
 	hintWrites [3]*obs.Counter
 
 	// Hot-path batching telemetry (DESIGN.md §12): how well the adaptive
-	// wire coalescer and the scheduler batch drain amortize per-message
-	// costs. flushBatch records messages per writev flush; schedBatch
-	// records requests absorbed per scheduling round.
-	flushes    *obs.Counter   // wire flushes (writev or single-write) issued
-	flushBatch *obs.Histogram // messages coalesced per wire flush
-	schedBatch *obs.Histogram // requests drained per scheduler round
+	// wire coalescer and the per-pass batch amortize per-message costs.
+	flushes    *obs.Counter   // writev calls issued
+	flushBatch *obs.Histogram // responses completed per writev
+	schedBatch *obs.Histogram // requests ingested per core pass
 }
 
 // shardOpCounts is one shard's request counters, incremented with atomics
@@ -284,9 +282,9 @@ func newMetrics(s *Server) *metrics {
 	if s.cache != nil {
 		s.cache.RegisterMetrics(reg)
 	}
-	m.flushes = reg.Counter("srv_wire_flushes_total", "wire flushes issued by connection writers")
+	m.flushes = reg.Counter("srv_wire_flushes_total", "writev calls issued on connections")
 	m.flushBatch = reg.Histogram("srv_flush_batch_msgs", "responses coalesced per wire flush")
-	m.schedBatch = reg.Histogram("srv_sched_batch", "requests drained per scheduler round")
+	m.schedBatch = reg.Histogram("srv_sched_batch", "requests ingested per core pass")
 	for c := 0; c < bufpool.NumClasses; c++ {
 		c := c
 		lbl := obs.L("class", strconv.Itoa(bufpool.ClassSize(c)))
@@ -323,17 +321,17 @@ func newMetrics(s *Server) *metrics {
 	for _, pc := range s.cores {
 		pc := pc
 		lbl := obs.L("core", strconv.Itoa(pc.id))
-		reg.GaugeFunc("srv_core_queue_depth", "requests waiting in the core's request ring",
-			func() float64 { return float64(len(pc.ring)) }, lbl)
+		reg.GaugeFunc("srv_core_queue_depth", "requests queued in the core's schedulers",
+			func() float64 { return float64(pc.backlog.Load()) }, lbl)
 		reg.GaugeFunc("srv_core_conns", "connections pinned to the core",
 			func() float64 { return float64(pc.nconns.Load()) }, lbl)
 		reg.GaugeFunc("srv_core_tenants", "tenants pinned to the core",
 			func() float64 { return float64(pc.ntenants.Load()) }, lbl)
 		reg.GaugeFunc("srv_core_token_debt", "aggregate token debt published by the core (mt)",
 			func() float64 { return float64(pc.debt.Load()) }, lbl)
-		reg.CounterFunc("srv_core_flushes_total", "wire flushes issued by the core's flusher",
+		reg.CounterFunc("srv_core_flushes_total", "writev calls issued by the core",
 			func() float64 { return float64(pc.flushes.Load()) }, lbl)
-		reg.CounterFunc("srv_core_flush_msgs_total", "responses flushed by the core's flusher",
+		reg.CounterFunc("srv_core_flush_msgs_total", "responses written by the core",
 			func() float64 { return float64(pc.flushMsgs.Load()) }, lbl)
 	}
 	for _, d := range s.devices {
@@ -377,7 +375,7 @@ func (s *Server) StartSampler(period time.Duration) (*obs.Series, func()) {
 	for _, pc := range s.cores {
 		pc := pc
 		series.AddColumn("q"+strconv.Itoa(pc.id),
-			func() float64 { return float64(len(pc.ring)) })
+			func() float64 { return float64(pc.backlog.Load()) })
 	}
 	for _, d := range s.devices {
 		d := d

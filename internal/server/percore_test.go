@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ func TestHandleWrapProbesPastCollision(t *testing.T) {
 
 	// Park a long-lived tenant at the very top of the handle space.
 	srv.tenants.next.Store(65534) // next claim: 65534+1 = 65535
-	hTop, st := srv.registerTenant(beWritable(), -1)
+	hTop, st := srv.registerTenant(nil, beWritable(), -1)
 	if st != protocol.StatusOK || hTop != 65535 {
 		t.Fatalf("top registration: handle %d status %v, want 65535 OK", hTop, st)
 	}
@@ -34,7 +35,7 @@ func TestHandleWrapProbesPastCollision(t *testing.T) {
 	// Rewind the cursor so the next claim collides with the live tenant,
 	// then wraps through 0. The fixed allocator must deliver handle 1.
 	srv.tenants.next.Store(65534)
-	h, st := srv.registerTenant(beWritable(), -1)
+	h, st := srv.registerTenant(nil, beWritable(), -1)
 	if st != protocol.StatusOK {
 		t.Fatalf("registration across the wrap: %v, want OK (old allocator starved here)", st)
 	}
@@ -46,11 +47,11 @@ func TestHandleWrapProbesPastCollision(t *testing.T) {
 	// cursor pinned near the top so every iteration wraps and collides.
 	for i := 0; i < 64; i++ {
 		srv.tenants.next.Store(65534)
-		hi, st := srv.registerTenant(beWritable(), -1)
+		hi, st := srv.registerTenant(nil, beWritable(), -1)
 		if st != protocol.StatusOK {
 			t.Fatalf("churn iteration %d: %v, want OK", i, st)
 		}
-		if st := srv.unregisterTenant(hi); st != protocol.StatusOK {
+		if st := srv.unregisterTenant(nil, hi); st != protocol.StatusOK {
 			t.Fatalf("churn unregister %d: %v", i, st)
 		}
 	}
@@ -87,19 +88,20 @@ type recordResponder struct {
 	hdrs []protocol.Header
 }
 
-func (r *recordResponder) send(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) {
+func (r *recordResponder) send(_ *pcore, hdr protocol.Header, payload []byte, lease *bufpool.Buf) {
 	r.mu.Lock()
-	r.hdrs = append(r.hdrs, *hdr)
+	r.hdrs = append(r.hdrs, hdr)
 	r.mu.Unlock()
 	bufpool.ReleaseIf(lease)
 }
 
 // TestShutdownDropFailsRequest is the shutdown lease-leak regression: a
-// request dropped because server shutdown raced its enqueue used to
-// vanish silently — payload lease held forever, tenant in-flight count
-// never retired, no response. The drop path must release the lease
-// (verified through recycle-time poisoning), answer the client with a
-// typed error, and retire the tenant's in-flight count.
+// request that reaches a core after its loop exited (a cross-core
+// hand-off, a forward ack or a latency timer racing Close) must not vanish
+// with its resources held. The closed inbox retires it: the payload lease
+// is released (verified through recycle-time poisoning) and the tenant's
+// in-flight count repaid, and it is not answered StatusOverloaded — its
+// connection closes instead, so an LC tenant is never shed at shutdown.
 func TestShutdownDropFailsRequest(t *testing.T) {
 	bufpool.SetPoison(true)
 	defer bufpool.SetPoison(false)
@@ -107,7 +109,6 @@ func TestShutdownDropFailsRequest(t *testing.T) {
 	cfg := Config{
 		Addr:      "127.0.0.1:0",
 		Cores:     1,
-		RingSize:  1,
 		Model:     modelA(),
 		TokenRate: 1_000_000 * core.TokenUnit,
 	}
@@ -115,7 +116,7 @@ func TestShutdownDropFailsRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, st := srv.registerTenant(beWritable(), -1)
+	h, st := srv.registerTenant(nil, beWritable(), -1)
 	if st != protocol.StatusOK {
 		t.Fatalf("register: %v", st)
 	}
@@ -123,69 +124,91 @@ func TestShutdownDropFailsRequest(t *testing.T) {
 	if !ok {
 		t.Fatal("tenant missing")
 	}
-	srv.Close() // core loop gone; s.done closed
+	srv.Close() // core loop gone; its inbox closed
 
 	rr := &recordResponder{}
-	mkReq := func() enqueued {
-		lease := bufpool.Get(512)
-		payload := lease.Bytes()
-		for i := range payload {
-			payload[i] = 0x5A
-		}
-		ctx := &reqCtx{
-			conn:    rr,
-			ten:     ten,
-			hdr:     protocol.Header{Opcode: protocol.OpWrite, Handle: h, Count: 512, Len: 512},
-			payload: payload,
-			lease:   lease,
-		}
-		return enqueued{ten: ten, req: &core.Request{Op: core.OpWrite, Size: 512, Context: ctx}}
+	lease := bufpool.Get(512)
+	payload := lease.Bytes()
+	for i := range payload {
+		payload[i] = 0x5A
 	}
+	pc := srv.cores[0]
+	c := pc.record()
+	c.conn, c.ten, c.payload, c.lease = rr, ten, payload, lease
+	c.hdr = protocol.Header{Opcode: protocol.OpWrite, Handle: h, Count: 512, Len: 512}
+	c.Request = core.Request{Op: core.OpWrite, Size: 512, Context: c}
+	ten.mu.Lock()
+	ten.outstanding++ // what submitIO charges before the hand-off
+	ten.mu.Unlock()
+	c.phase = phaseQueue
+	pc.post(inItem{ctx: c})
 
-	// Occupy the single ring slot so enqueue cannot take the ring branch
-	// and must hit the shutdown drop path deterministically.
-	blocker := mkReq()
-	srv.cores[0].ring <- blocker
-
-	e := mkReq()
-	ctx := e.req.Context.(*reqCtx)
-	leased := ctx.payload // window into the pooled backing array
-	if !ten.submitIO(srv, e) {
-		t.Fatal("submitIO refused a live tenant")
-	}
-
-	// The lease was released: the context pointer is cleared and the
-	// backing bytes were poisoned on recycle.
-	if ctx.lease != nil {
-		t.Fatal("dropped request still holds its payload lease")
-	}
-	if leased[0] != bufpool.Poison {
+	if payload[0] != bufpool.Poison {
 		t.Fatalf("payload byte %#x after drop, want poison %#x (lease never recycled)",
-			leased[0], bufpool.Poison)
+			payload[0], bufpool.Poison)
 	}
-	// The client got a typed failure, not silence.
 	rr.mu.Lock()
 	got := len(rr.hdrs)
-	var status protocol.Status
-	if got > 0 {
-		status = rr.hdrs[0].Status
-	}
 	rr.mu.Unlock()
-	if got != 1 || status != protocol.StatusOverloaded {
-		t.Fatalf("drop response: %d msgs, status %v; want 1 StatusOverloaded", got, status)
+	if got != 0 {
+		t.Fatalf("dropped request answered %d times, want 0 (its connection closes instead)", got)
 	}
-	// The in-flight count was retired (submitIO charged 1, ioDone repaid
-	// it), so barrier waiters cannot hang on the dropped request.
 	ten.mu.Lock()
 	outstanding := ten.outstanding
 	ten.mu.Unlock()
 	if outstanding != 0 {
 		t.Fatalf("outstanding = %d after drop, want 0", outstanding)
 	}
+}
 
-	// Clean up the blocker's lease (it never reached a scheduler).
-	bctx := blocker.req.Context.(*reqCtx)
-	bctx.releaseLease()
+// TestShutdownNeverShedsLC is the Close-time half of "an LC tenant is
+// never shed": reads queued behind an LC tenant's exhausted token bucket
+// when Close runs are retired with their connection, so the client sees a
+// connection error and never ErrOverloaded.
+func TestShutdownNeverShedsLC(t *testing.T) {
+	srv, err := New(Config{
+		Addr:      "127.0.0.1:0",
+		Cores:     1,
+		Model:     modelA(),
+		TokenRate: 10_000 * core.TokenUnit,
+	}, storage.NewMem(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	h, err := cl.Register(protocol.Registration{IOPS: 1000, ReadPercent: 100, LatencyP95: uint64(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []*client.Call
+	for i := 0; i < 300; i++ {
+		call, err := cl.GoRead(h, 0, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, call)
+	}
+	waitFor(t, 5*time.Second, "reads queued behind the token bucket", func() bool {
+		return srv.cores[0].backlog.Load() > 0
+	})
+	srv.Close()
+	failed := 0
+	for _, call := range calls {
+		<-call.Done
+		if errors.Is(call.Err, client.ErrOverloaded) {
+			t.Fatal("an LC read was shed at shutdown")
+		}
+		if call.Err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no read was still queued at Close; the test proved nothing")
+	}
 }
 
 // TestShutdownUnderLoadPoisoned closes a multi-core server while clients
@@ -200,7 +223,6 @@ func TestShutdownUnderLoadPoisoned(t *testing.T) {
 	cfg := Config{
 		Addr:      "127.0.0.1:0",
 		Cores:     2,
-		RingSize:  64, // small ring: shutdown races enqueue backpressure
 		Model:     modelA(),
 		TokenRate: 1_000_000 * core.TokenUnit,
 	}
@@ -247,34 +269,45 @@ func TestShutdownUnderLoadPoisoned(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShedQueueHighDerivesFromRingSize is the shed-threshold regression:
-// the default queue high watermark must track the configured per-core
-// ring capacity (3/4 of it) instead of a fixed constant, so resizing the
-// ring moves the backpressure-to-refusal crossover with it.
-func TestShedQueueHighDerivesFromRingSize(t *testing.T) {
-	for _, tc := range []struct {
-		ring     int
-		wantHigh int
-	}{
-		{0, 3 * DefaultRingSize / 4}, // default ring -> default watermark
-		{100, 75},
-		{8192, 6144},
-	} {
-		cfg := Config{RingSize: tc.ring}
-		if err := cfg.fill(); err != nil {
-			t.Fatal(err)
-		}
-		if cfg.Shed.QueueHigh != tc.wantHigh {
-			t.Errorf("RingSize %d: QueueHigh = %d, want %d", tc.ring, cfg.Shed.QueueHigh, tc.wantHigh)
-		}
-	}
-	// An explicit watermark is never overridden.
-	cfg := Config{RingSize: 100, Shed: ctrl.ShedConfig{QueueHigh: 9}}
+// TestShedQueueHighWatermark: the queue watermark reads the tenant
+// core's scheduler backlog, which the loop publishes every pass. With
+// best-effort reads piled up behind the token bucket past QueueHigh, the
+// next best-effort request is refused while an LC tenant still gets in;
+// an unset watermark defaults to DefaultShedQueueHigh.
+func TestShedQueueHighWatermark(t *testing.T) {
+	cfg := Config{}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Shed.QueueHigh != 9 {
-		t.Errorf("explicit QueueHigh overridden: got %d, want 9", cfg.Shed.QueueHigh)
+	if cfg.Shed.QueueHigh != DefaultShedQueueHigh {
+		t.Fatalf("default QueueHigh = %d, want %d", cfg.Shed.QueueHigh, DefaultShedQueueHigh)
+	}
+	srv, cl := startServer(t, func(c *Config) {
+		c.Cores = 1
+		c.TokenRate = 1_000 * core.TokenUnit
+		c.Shed = ctrl.ShedConfig{QueueHigh: 16}
+	})
+	be, err := cl.Register(beWritable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := cl.Register(protocol.Registration{IOPS: 100, ReadPercent: 100, LatencyP95: uint64(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ { // about half a second of best-effort tokens
+		if _, err := cl.GoRead(be, 0, 512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "backlog past the watermark", func() bool {
+		return srv.cores[0].backlog.Load() > 16
+	})
+	if _, err := cl.Read(be, 0, 512); !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("best-effort read over the backlog watermark: %v, want ErrOverloaded", err)
+	}
+	if _, err := cl.Read(lc, 0, 512); err != nil {
+		t.Fatalf("LC read shed over the backlog watermark: %v", err)
 	}
 }
 

@@ -7,14 +7,12 @@
 // each device gets an independent scheduler instance with its own token
 // accounting (§3.2.2).
 //
-// Dataplane structure (DESIGN.md §15): connections are pinned to a core
-// at accept time and tenants registered over a connection land on its
-// core, so a request's whole lifecycle — decode, QoS scheduling, device
-// I/O, response flush — runs against one core's private state. The only
-// cross-core structures on the request path are atomics: the global token
-// bucket (core.SharedState), the handle-indexed tenant registry, the live
-// connection counter, and the per-core debt gauges feeding the shed
-// signal. No mutex is shared between cores per request.
+// Dataplane structure (DESIGN.md §15): each core is one goroutine, locked
+// to its OS thread, that polls its connections with epoll and runs every
+// request from read to writev without a hand-off. Connections pin to a
+// core at accept time and tenants to their connection's core; cores share
+// only atomics (the global token bucket, the tenant registry, gauges) and
+// each other's inboxes. The server is Linux-only (epoll, eventfd, timerfd).
 package server
 
 import (
@@ -23,14 +21,13 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
-	"github.com/reflex-go/reflex/internal/bufpool"
 	"github.com/reflex-go/reflex/internal/cluster"
 	"github.com/reflex-go/reflex/internal/core"
 	"github.com/reflex-go/reflex/internal/ctrl"
 	"github.com/reflex-go/reflex/internal/faults"
-	"github.com/reflex-go/reflex/internal/obs"
 	"github.com/reflex-go/reflex/internal/protocol"
 	"github.com/reflex-go/reflex/internal/readcache"
 	"github.com/reflex-go/reflex/internal/storage"
@@ -70,15 +67,12 @@ type Config struct {
 	Addr string
 	// UDPAddr optionally enables the datagram endpoint on this address.
 	UDPAddr string
-	// Cores is the number of shared-nothing per-core event loops (1..64).
-	// Each core owns a request ring, one scheduler per device, and the
-	// batched response flusher for the connections pinned to it.
+	// Cores is the number of shared-nothing per-core event loops (1..64):
+	// one epoll goroutine per core, owning one scheduler per device and
+	// the connections pinned to it.
 	Cores int
-	// RingSize is the per-core request ring capacity (default 4096). The
-	// default shed high watermark derives from it, so resizing the ring
-	// moves the backpressure-to-refusal crossover with it.
-	RingSize int
-	// SchedInterval bounds the time between scheduling rounds.
+	// SchedInterval bounds the time between scheduling rounds while
+	// requests are queued.
 	SchedInterval time.Duration
 	// ReadLatency/WriteLatency optionally delay the device operation to
 	// emulate flash on fast in-memory backends (useful in examples,
@@ -92,27 +86,25 @@ type Config struct {
 	TokenRate      core.Tokens
 	ReadOnlyWindow time.Duration
 
-	// IdleTimeout reaps TCP connections with no inbound traffic: the
-	// reader's deadline is re-armed before every message, so a half-open
-	// peer can no longer leak a goroutine and its tenant registrations
-	// forever. 0 selects the 2-minute default; negative disables reaping.
+	// IdleTimeout reaps TCP connections with no inbound traffic, so a
+	// half-open peer cannot keep its tenant registrations forever. 0
+	// selects the 2-minute default; negative disables reaping.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write; a peer that stops reading
-	// tears the connection down instead of wedging a core's flusher.
-	// 0 selects the 10-second default; negative disables the deadline.
+	// WriteTimeout tears down a connection whose pending responses made no
+	// progress for this long: a peer that stopped reading. 0 selects the
+	// 10-second default; negative disables it.
 	WriteTimeout time.Duration
 
-	// Faults optionally injects faults on the real path: accepted
-	// connections are wrapped (drops/stalls/partial I/O/resets/jitter)
-	// and the device path injects per-request I/O errors and timeout
-	// pulses. Injections surface as the faults_injected metric.
+	// Faults optionally injects faults at every connection read and write
+	// (drops, stalls and jitter that mute one connection, partial I/O,
+	// resets, corruption) and per device request (errors, timeout pulses),
+	// counted as the faults_injected metric.
 	Faults *faults.Injector
 
-	// Shed configures graceful load shedding: when the scheduler backlog,
-	// aggregate token debt or connection count crosses its limit, new
-	// best-effort I/O is refused with StatusOverloaded. Latency-critical
-	// tenants are never shed. Zero-valued fields pick defaults (queue
-	// high watermark at 3/4 of the per-core ring capacity).
+	// Shed refuses new best-effort I/O with StatusOverloaded while a
+	// core's scheduler backlog (default watermark DefaultShedQueueHigh),
+	// the token debt or the connection count is over its limit.
+	// Latency-critical tenants are never shed.
 	Shed ctrl.ShedConfig
 
 	// CacheBytes enables the tiered DRAM read cache (internal/readcache,
@@ -163,9 +155,9 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
-// DefaultRingSize is the per-core request ring capacity when
-// Config.RingSize is zero.
-const DefaultRingSize = 4096
+// DefaultShedQueueHigh is the default shed watermark on one core's
+// scheduler backlog (requests queued for tokens).
+const DefaultShedQueueHigh = 3072
 
 func (c *Config) fill() error {
 	if c.Cores <= 0 {
@@ -173,9 +165,6 @@ func (c *Config) fill() error {
 	}
 	if c.Cores > 64 {
 		return fmt.Errorf("server: at most 64 cores")
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
 	}
 	if c.SchedInterval <= 0 {
 		c.SchedInterval = 200 * time.Microsecond
@@ -187,11 +176,7 @@ func (c *Config) fill() error {
 		c.WriteTimeout = DefaultWriteTimeout
 	}
 	if c.Shed.QueueHigh == 0 {
-		// The shed high watermark sits at 3/4 of the actual per-core ring
-		// capacity (not a fixed constant) so backpressure turns into
-		// explicit refusal before readers block — and keeps doing so when
-		// the ring is resized.
-		c.Shed.QueueHigh = 3 * c.RingSize / 4
+		c.Shed.QueueHigh = DefaultShedQueueHigh
 	}
 	return nil
 }
@@ -213,15 +198,17 @@ type Server struct {
 	cfg     Config
 	devices []*sdevice
 	ln      net.Listener
-	udp     *net.UDPConn
 	cores   []*pcore
+	// sweepEvery paces each core's idle/write-timeout sweep (0: none).
+	sweepEvery time.Duration
+	// udpFD is the UDP socket (-1 when disabled), polled by core 0; udpMu
+	// keeps Close from closing it under a reply.
+	udpMu   sync.RWMutex
+	udpFD   int
+	udpAddr string
 	start   time.Time
-	// m is the unified telemetry layer (internal/obs): wall-clock metrics
-	// registry plus the per-request span trace ring.
-	m *metrics
-	// shed is the graceful load-shed signal consulted on every
-	// best-effort I/O.
-	shed *ctrl.Shedder
+	m       *metrics      // registry and span ring (internal/obs)
+	shed    *ctrl.Shedder // consulted on every best-effort I/O
 	// cache is the tiered DRAM read cache (nil when disabled). Probed at
 	// dispatch, filled on aligned 4KB read completions, invalidated by
 	// the cachedBackend wrapper around every device backend.
@@ -267,14 +254,12 @@ type Server struct {
 	conns     map[*srvConn]struct{}
 	connCount atomic.Int64
 
-	// Tenant-unregistration reaper: connection teardown funnels its owned
-	// handles through one server-lifetime goroutine instead of spawning a
-	// goroutine per torn-down connection. The queue is an unbounded slice
-	// (teardown must never block a core's flusher) with a cap-1 kick
-	// channel.
-	unregMu   sync.Mutex
-	unregPend []uint16
-	unregKick chan struct{}
+	// The control goroutine's queue: volume ops, shard-map installs,
+	// joins, promotions, and the tenants of torn-down connections.
+	// Unbounded, so a core never waits on it.
+	ctlMu   sync.Mutex
+	ctlJobs []func()
+	ctlKick chan struct{}
 
 	wg        sync.WaitGroup
 	done      chan struct{}
@@ -301,54 +286,9 @@ type stenant struct {
 	// dead marks a tenant torn down (unregistered or its connection
 	// reaped); the sequencer drops held work instead of leaking waiters.
 	dead bool
-}
-
-// enqueued is a request handed from a connection reader to its core's
-// request ring.
-type enqueued struct {
-	ten *stenant
-	req *core.Request
-}
-
-// reqCtx travels through the scheduler as core.Request.Context.
-type reqCtx struct {
-	conn    responder
-	ten     *stenant
-	hdr     protocol.Header
-	payload []byte
-	// lease backs payload when the request arrived in a pooled buffer
-	// (write payloads that outlive dispatch). The completion path — or
-	// any path that drops the request — releases it exactly once via
-	// releaseLease.
-	lease *bufpool.Buf
-	// span is the request's lifecycle record; stamped along the pipeline
-	// and pushed into the trace ring when the response is sent.
-	span obs.Span
-	// cbuf carries a read-cache hit's response payload (copied out of the
-	// cache at dispatch, under the segment lock). The pcore serves it
-	// without touching the backend; drop paths release it via
-	// releaseLease like the write lease.
-	cbuf *bufpool.Buf
-	// fill marks an admitted read miss: on a successful aligned-4KB
-	// backend read the pcore commits the block under fillKey unless the
-	// fence epoch moved (a write invalidated the range in flight).
-	fill      bool
-	fillKey   uint64
-	fillEpoch uint64
-}
-
-// releaseLease drops the request-payload lease and any cache-hit payload
-// (idempotent: pointers are cleared so drop paths and the completion path
-// cannot double-release).
-func (ctx *reqCtx) releaseLease() {
-	if ctx.lease != nil {
-		ctx.lease.Release()
-		ctx.lease = nil
-	}
-	if ctx.cbuf != nil {
-		ctx.cbuf.Release()
-		ctx.cbuf = nil
-	}
+	// live is true while the tenant is registered with its core's
+	// scheduler; only that core's loop touches it.
+	live bool
 }
 
 // New starts a single-device server listening on cfg.Addr over backend,
@@ -382,14 +322,30 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		ln:        ln,
-		start:     time.Now(),
-		tenants:   &tenantTable{},
-		conns:     make(map[*srvConn]struct{}),
-		unregKick: make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		shed:      ctrl.NewShedder(cfg.Shed),
+		cfg:     cfg,
+		ln:      ln,
+		start:   time.Now(),
+		udpFD:   -1,
+		tenants: &tenantTable{},
+		conns:   make(map[*srvConn]struct{}),
+		ctlKick: make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		shed:    ctrl.NewShedder(cfg.Shed),
+	}
+	fail := func(err error) (*Server, error) {
+		ln.Close()
+		for _, pc := range s.cores {
+			pc.closeFDs()
+		}
+		if s.udpFD >= 0 {
+			syscall.Close(s.udpFD)
+		}
+		return nil, err
+	}
+	for _, d := range []time.Duration{cfg.IdleTimeout, cfg.WriteTimeout} {
+		if d > 0 && (s.sweepEvery == 0 || d/4 < s.sweepEvery) {
+			s.sweepEvery = min(max(d/4, time.Millisecond), 100*time.Millisecond)
+		}
 	}
 	s.epoch.Store(uint32(cfg.Epoch))
 	s.backupRole.Store(cfg.BackupRole)
@@ -404,8 +360,7 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 	if cfg.CacheBytes >= readcache.BlockSize {
 		mode, err := readcache.ParseMode(cfg.CacheAdmit)
 		if err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
 		// Admission prices hits by device 0's model (multi-device servers
 		// share one cache; per-device pricing only shifts the hurdle).
@@ -417,13 +372,10 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 			HitCost:  model.CacheServeCost(),
 		})
 		if err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
-		// Wrap every backend so each write — client dispatch, replication
-		// apply, migration apply — invalidates before it is acknowledged.
-		// Wrapping precedes the replicator construction below on purpose:
-		// the replicators capture the wrapped backend.
+		// Every write (client, replication, migration) invalidates before
+		// it is acked; the replicators below capture the wrapped backends.
 		for _, d := range s.devices {
 			d.backend = &cachedBackend{Backend: d.backend, cache: s.cache, dev: d.idx}
 		}
@@ -431,12 +383,10 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 	if cfg.VolumeBytes > 0 {
 		devBytes := s.devices[0].backend.Size()
 		if cfg.VolumeBytes > devBytes {
-			ln.Close()
-			return nil, fmt.Errorf("server: volume pool %d bytes exceeds device 0 (%d)", cfg.VolumeBytes, devBytes)
+			return fail(fmt.Errorf("server: volume pool %d bytes exceeds device 0 (%d)", cfg.VolumeBytes, devBytes))
 		}
 		poolBlocks := uint64(cfg.VolumeBytes) / protocol.BlockSize
-		// Built after the cache wrap above so volume writes invalidate
-		// physically; the pool sits at the top of device 0.
+		// Over the wrapped backend, so volume writes invalidate physically.
 		mgr, err := volume.NewManager(volume.Config{
 			Backend:      s.devices[0].backend,
 			FirstBlock:   uint64(devBytes)/protocol.BlockSize - poolBlocks,
@@ -444,32 +394,32 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 			ExtentBlocks: uint32(cfg.VolumeExtentBlocks),
 		})
 		if err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
 		s.vols = mgr
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		pc := &pcore{
-			id:        i,
-			srv:       s,
-			ring:      make(chan enqueued, cfg.RingSize),
-			cmdCh:     make(chan func(), 64),
-			flushKick: make(chan struct{}, 1),
-		}
-		for _, d := range s.devices {
-			d := d
-			sched := core.NewScheduler(d.cfg.Model, i, d.shared)
-			sched.ReadOnlyProbe = func() bool { return s.readOnlyProbe(d) }
-			pc.scheds = append(pc.scheds, sched)
-		}
+		pc, err := newCore(s, i)
 		s.cores = append(s.cores, pc)
+		if err != nil {
+			return fail(err)
+		}
 	}
-	// Telemetry wires gauge functions over cores and devices, so it is
-	// built after both exist and before any goroutine can serve a request.
-	s.m = newMetrics(s)
-	// The primary-side replicator is always present (a standalone server's
-	// replicator simply never attaches a backup): forwards cover device 0.
+	if cfg.UDPAddr != "" {
+		uc, err := net.ListenPacket("udp", cfg.UDPAddr)
+		if err == nil {
+			s.udpAddr = uc.LocalAddr().String()
+			s.udpFD, err = takeFD(uc.(*net.UDPConn)) // polled by core 0
+		}
+		if err == nil {
+			err = s.cores[0].ctl(syscall.EPOLL_CTL_ADD, s.udpFD, slotUDP, syscall.EPOLLIN)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
+	s.m = newMetrics(s) // gauges over the cores and devices above
+	// A standalone server's replicator simply never attaches a backup.
 	s.repl = cluster.NewReplicator(cluster.ReplicatorConfig{
 		Backend:   s.devices[0].backend,
 		Epoch:     s.ClusterEpoch,
@@ -477,12 +427,9 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 		OnForward: func() { s.m.replForwarded.Inc() },
 		OnAck:     func() { s.m.replAcked.Inc() },
 	})
-	// Migration-source replicator (DESIGN.md §13): sends one shard's
-	// catch-up and live writes to a ranged-join sink. The sink relays
-	// chunks to the destination as ordinary OpWrites, so chunks stay well
-	// under MaxPayload. A stale ack from the sink must NOT fence this
-	// node — migration failure is the coordinator's problem, not a
-	// deposition — hence no OnStale.
+	// Migration source (DESIGN.md §13): the sink relays chunks as ordinary
+	// writes, so they stay well under MaxPayload; a stale ack from it is the
+	// coordinator's problem, not a deposition, hence no OnStale.
 	s.migr = cluster.NewReplicator(cluster.ReplicatorConfig{
 		Backend:    s.devices[0].backend,
 		Epoch:      s.ClusterEpoch,
@@ -490,43 +437,39 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 		OnAck:      func() { s.m.migrAcked.Inc() },
 		ChunkBytes: 128 << 10,
 	})
+	s.wg.Add(len(s.cores) + 2)
 	for _, pc := range s.cores {
-		s.wg.Add(2)
-		go pc.loop()
-		go pc.flushLoop()
+		go pc.run()
 	}
-	s.wg.Add(1)
-	go s.reaperLoop()
-	if cfg.UDPAddr != "" {
-		ua, err := net.ResolveUDPAddr("udp", cfg.UDPAddr)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		pc, err := net.ListenUDP("udp", ua)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		s.udp = pc
-		s.wg.Add(1)
-		go s.serveUDP(pc)
-	}
-	s.wg.Add(1)
+	go s.ctlLoop()
 	go s.acceptLoop()
 	return s, nil
+}
+
+// takeFD moves a socket out of the Go runtime's poller: a close-on-exec
+// duplicate (sharing the nonblocking file) goes to a core's epoll set and
+// the original is closed, so the runtime's netpoller is not woken for
+// traffic only the core reads.
+func takeFD(c net.Conn) (int, error) {
+	rc, err := c.(syscall.Conn).SyscallConn()
+	fd := -1
+	if err == nil {
+		err = rc.Control(func(raw uintptr) {
+			nfd, _, e := syscall.Syscall(syscall.SYS_FCNTL, raw, syscall.F_DUPFD_CLOEXEC, 0)
+			if fd = int(nfd); e != 0 {
+				fd, err = -1, e
+			}
+		})
+	}
+	c.Close()
+	return fd, err
 }
 
 // Addr returns the bound TCP listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // UDPAddr returns the bound UDP address, or "" when UDP is disabled.
-func (s *Server) UDPAddr() string {
-	if s.udp == nil {
-		return ""
-	}
-	return s.udp.LocalAddr().String()
-}
+func (s *Server) UDPAddr() string { return s.udpAddr }
 
 // Devices returns the number of devices this server fronts.
 func (s *Server) Devices() int { return len(s.devices) }
@@ -550,22 +493,26 @@ func (s *Server) readOnlyProbe(d *sdevice) bool {
 	return last == 0 || s.now()-last > int64(d.cfg.ReadOnlyWindow)
 }
 
-// Close shuts the server down: stops accepting, closes connections, stops
-// the core loops, and waits for all goroutines.
+// Close shuts the server down: stops accepting, wakes every core loop to
+// retire its queued requests and close its connections, and waits for all
+// goroutines.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.done)
-		s.ln.Close()
-		if s.udp != nil {
-			s.udp.Close()
-		}
 		s.connMu.Lock()
-		for c := range s.conns {
-			c.c.Close()
-		}
+		close(s.done)
 		s.connMu.Unlock()
+		s.ln.Close()
+		for _, pc := range s.cores {
+			pc.post(inItem{fn: func() {}})
+		}
 	})
 	s.wg.Wait()
+	s.udpMu.Lock()
+	if s.udpFD >= 0 {
+		syscall.Close(s.udpFD)
+		s.udpFD = -1
+	}
+	s.udpMu.Unlock()
 	return nil
 }
 
@@ -585,66 +532,48 @@ func (s *Server) acceptLoop() {
 			}
 			return
 		}
-		// Chaos mode: wrap the accepted connection so the server's own
-		// hardening (deadlines, reaping, flush-failure teardown) is
-		// exercised by injected drops, stalls, partial I/O and resets.
-		c = faults.WrapConn(c, s.cfg.Faults)
-		newSrvConn(s, c)
+		if fd, err := takeFD(c); err == nil {
+			s.newConn(fd)
+		}
 	}
 }
 
-// queueUnregister hands a torn-down connection's owned tenant handles to
-// the reaper goroutine. Never blocks (teardown may run on a core's
-// flusher).
-func (s *Server) queueUnregister(handles []uint16) {
-	if len(handles) == 0 {
-		return
-	}
-	s.unregMu.Lock()
-	s.unregPend = append(s.unregPend, handles...)
-	s.unregMu.Unlock()
+// control queues fn for the control goroutine; it never blocks.
+func (s *Server) control(fn func()) {
+	s.ctlMu.Lock()
+	s.ctlJobs = append(s.ctlJobs, fn)
+	s.ctlMu.Unlock()
 	select {
-	case s.unregKick <- struct{}{}:
+	case s.ctlKick <- struct{}{}:
 	default:
 	}
 }
 
-// reaperLoop is the single server-lifetime goroutine that unregisters
-// tenants owned by torn-down connections (replacing the old
-// goroutine-per-teardown pattern). Unregistration round-trips through
-// per-core command channels, which select on server shutdown, so the
-// reaper can never wedge past Close.
-func (s *Server) reaperLoop() {
+// ctlLoop is the control goroutine: it runs queued jobs in order until
+// Close, when the jobs still queued are dropped with their connections.
+func (s *Server) ctlLoop() {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.done:
 			return
-		case <-s.unregKick:
+		case <-s.ctlKick:
 		}
-		for {
-			s.unregMu.Lock()
-			batch := s.unregPend
-			s.unregPend = nil
-			s.unregMu.Unlock()
-			if len(batch) == 0 {
-				break
-			}
-			for _, h := range batch {
-				if s.unregisterTenant(h) == protocol.StatusOK {
-					s.m.removed.Inc()
-				}
-			}
+		// A job queued after this swap kicks again.
+		s.ctlMu.Lock()
+		jobs := s.ctlJobs
+		s.ctlJobs = nil
+		s.ctlMu.Unlock()
+		for _, fn := range jobs {
+			fn()
 		}
 	}
 }
 
 // shedNow reports whether a best-effort request for ten should be refused
-// right now. Latency-critical tenants are never shed: their SLO was
-// admitted against reserved capacity. The overload indicators are the
-// tenant core's ring backlog, the aggregate scheduler token debt
-// (published by the cores after each round), and the live connection
-// count — all read through atomics; the shed decision takes no lock.
+// now; latency-critical tenants never are. The indicators — the tenant
+// core's scheduler backlog, the token debt and the connection count — are
+// atomics the cores publish every pass.
 func (s *Server) shedNow(ten *stenant) bool {
 	if ten.t.Class != core.BestEffort {
 		return false
@@ -654,15 +583,12 @@ func (s *Server) shedNow(ten *stenant) bool {
 		debt += core.Tokens(pc.debt.Load())
 	}
 	conns := int(s.connCount.Load())
-	return s.shed.Observe(len(s.cores[ten.coreID].ring), conns, debt)
+	return s.shed.Observe(int(s.cores[ten.coreID].backlog.Load()), conns, debt)
 }
 
 // pinCore resolves a registration's core: a pinned index (the accepting
-// connection's core) when valid, else the core with the fewest tenants.
-// Pinning a tenant to its connection's core is what keeps a tenant's
-// whole request path on one core — the connection reader, the scheduler
-// that admits its I/O, and the flusher that writes its responses never
-// cross a core boundary.
+// connection's core, keeping the tenant's whole path on one loop) when
+// valid, else the core with the fewest tenants.
 func (s *Server) pinCore(pin int) *pcore {
 	if pin >= 0 && pin < len(s.cores) {
 		return s.cores[pin]
@@ -678,8 +604,8 @@ func (s *Server) pinCore(pin int) *pcore {
 
 // registerTenant performs admission control and registration. pin is the
 // accepting connection's core (or -1 for coreless transports, which fall
-// back to least-loaded placement).
-func (s *Server) registerTenant(reg protocol.Registration, pin int) (uint16, protocol.Status) {
+// back to least-loaded placement); on is the calling core's loop, or nil.
+func (s *Server) registerTenant(on *pcore, reg protocol.Registration, pin int) (uint16, protocol.Status) {
 	if int(reg.Device) >= len(s.devices) {
 		return 0, protocol.StatusBadRequest
 	}
@@ -699,9 +625,7 @@ func (s *Server) registerTenant(reg protocol.Registration, pin int) (uint16, pro
 		return 0, protocol.StatusBadRequest
 	}
 	// A volume-bound tenant addresses volume-logical LBAs: resolve the
-	// volume handle now (one pointer on the stenant; the hot path never
-	// looks it up again) and check the ACL range against the volume's
-	// logical size instead of the raw device.
+	// volume now, once, and bound the ACL range by its logical size.
 	var vol *volume.Volume
 	if reg.Volume != 0 {
 		if s.vols == nil || reg.Device != 0 {
@@ -753,9 +677,14 @@ func (s *Server) registerTenant(reg protocol.Registration, pin int) (uint16, pro
 
 	pc := s.pinCore(pin)
 	st := &stenant{t: t, reg: reg, coreID: pc.id, device: int(reg.Device), rate: rate, vol: vol}
-	s.tenants.publish(h, st)
 	pc.ntenants.Add(1)
-	pc.do(func() { pc.scheds[st.device].Register(t) })
+	// Registered on the core before it is published, so a request posted
+	// to the core after the lookup finds it live.
+	onCore(on, pc, func() {
+		st.live = true
+		pc.scheds[st.device].Register(t)
+	})
+	s.tenants.publish(h, st)
 	return h, protocol.StatusOK
 }
 
@@ -769,25 +698,43 @@ func (s *Server) returnReserved(dev *sdevice, rate core.Tokens) {
 	s.regMu.Unlock()
 }
 
-func (s *Server) unregisterTenant(h uint16) protocol.Status {
+// unregisterTenant removes a tenant; on is the calling core's loop, or nil.
+func (s *Server) unregisterTenant(on *pcore, h uint16) protocol.Status {
 	st := s.tenants.remove(h)
 	if st == nil {
 		return protocol.StatusNoTenant
 	}
 	s.returnReserved(s.devices[st.device], st.rate)
 	// Drop the sequencer's held work so no barrier waiter outlives the
-	// tenant, then return the tenant's unspent token reservation to the
-	// scheduler (Unregister releases the LC rate / BE share).
+	// tenant; then, on its core, return its unspent token reservation to
+	// the scheduler and answer the requests still queued for it.
 	st.kill()
 	pc := s.cores[st.coreID]
 	pc.ntenants.Add(-1)
-	pc.do(func() { pc.scheds[st.device].Unregister(st.t) })
+	onCore(on, pc, func() {
+		st.live = false
+		pc.scheds[st.device].Unregister(st.t)
+		st.t.Drop(func(r *core.Request) {
+			c := r.Context.(*reqCtx)
+			reject(pc, c.conn, &c.hdr, protocol.StatusNoTenant)
+			s.retire(pc, c)
+		})
+	})
 	return protocol.StatusOK
 }
 
 // lookup returns the tenant for a handle: one atomic load, no lock.
 func (s *Server) lookup(h uint16) (*stenant, bool) {
 	return s.tenants.lookup(h)
+}
+
+// aclSize bounds a tenant's addresses: its volume's logical size, or the
+// device.
+func (s *Server) aclSize(ten *stenant) int64 {
+	if ten.vol != nil {
+		return ten.vol.LogicalBytes()
+	}
+	return s.devices[ten.device].backend.Size()
 }
 
 // checkACL validates an I/O against the tenant's namespace permissions.

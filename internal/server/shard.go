@@ -95,7 +95,7 @@ func (s *Server) shardIndex(hdr *protocol.Header) int {
 // tell whether refetching the map will actually help (its map is older)
 // or whether it raced an in-flight install (versions equal — retry after
 // the router's refresh).
-func (s *Server) rejectWrongShard(rsp responder, m *protocol.Message) {
+func (s *Server) rejectWrongShard(pc *pcore, rsp responder, m *protocol.Message) {
 	hdr := &m.Header
 	s.m.wrongShard.Inc()
 	if m.TraceID != 0 {
@@ -115,7 +115,7 @@ func (s *Server) rejectWrongShard(rsp responder, m *protocol.Message) {
 		sp.Mark(obs.StageTx, now)
 		s.m.ring.Push(sp)
 	}
-	rsp.send(&protocol.Header{
+	rsp.send(pc, protocol.Header{
 		Opcode: hdr.Opcode,
 		Flags:  protocol.FlagResponse,
 		Handle: hdr.Handle,
@@ -126,9 +126,9 @@ func (s *Server) rejectWrongShard(rsp responder, m *protocol.Message) {
 	}, nil, nil)
 }
 
-// handleShardMap serves OpShardMap: an empty payload fetches (response
-// payload = marshaled map, LBA = version, both zero when no map is
-// installed); a non-empty payload installs.
+// handleShardMap serves OpShardMap on the control goroutine: an empty
+// payload fetches (response payload = marshaled map, LBA = version, both
+// zero when no map is installed); a non-empty payload installs.
 func (s *Server) handleShardMap(rsp responder, hdr *protocol.Header, payload []byte) {
 	resp := protocol.Header{
 		Opcode: protocol.OpShardMap,
@@ -142,24 +142,14 @@ func (s *Server) handleShardMap(rsp responder, hdr *protocol.Header, payload []b
 			resp.LBA = cur.Version
 			body = cur.Marshal()
 		}
-		rsp.send(&resp, body, nil)
+		rsp.send(nil, resp, body, nil)
 		return
 	}
 	nm, err := shard.Unmarshal(payload)
 	if err != nil {
 		resp.Status = protocol.StatusBadRequest
-		rsp.send(&resp, nil, nil)
-		return
+	} else {
+		resp.LBA, resp.Status = s.InstallShardMap(nm)
 	}
-	resp.LBA, resp.Status = s.InstallShardMap(nm)
-	rsp.send(&resp, nil, nil)
-}
-
-// joinMigration attaches sc as a ranged migration sink on the migration
-// replicator: catch-up for [firstLBA, firstLBA+blockCount) followed by
-// the live forward stream for writes intersecting the window, closed out
-// by the catch-up marker frame.
-func (s *Server) joinMigration(sc *srvConn, firstLBA, blockCount uint32) {
-	sc.attach(s.migr.AttachRange(sc, firstLBA, blockCount).(attachment))
-	s.m.migrJoins.Inc()
+	rsp.send(nil, resp, nil, nil)
 }

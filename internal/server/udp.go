@@ -1,8 +1,7 @@
 package server
 
 import (
-	"net"
-	"sync"
+	"syscall"
 
 	"github.com/reflex-go/reflex/internal/bufpool"
 	"github.com/reflex-go/reflex/internal/protocol"
@@ -13,94 +12,70 @@ import (
 // when we implement UDP or other, lighter-weight transport protocols").
 // One datagram carries one protocol message; I/O sizes are capped so a
 // response always fits a datagram. Delivery is best-effort — a lost
-// datagram surfaces as a client-side timeout, never as corruption.
-//
-// Memory discipline (DESIGN.md §12): both directions run on pooled
-// buffers. The receive loop leases a datagram-sized buffer per read and
-// releases it once dispatch returns (the write path retains its own
-// reference when it needs the payload to outlive dispatch), and send
-// frames the response into a pooled arena flushed with a single
-// WriteToUDP — steady state allocates nothing per datagram.
+// datagram surfaces as a client-side timeout, never as corruption. The
+// socket sits in core 0's epoll set; replies are sent from whichever
+// goroutine completes the request (a datagram send needs no ordering).
 
 // MaxUDPIO bounds a single I/O over the UDP transport.
 const MaxUDPIO = 32 << 10
 
 // udpRecvSize holds the largest legal request (header + MaxUDPIO write
-// payload) with slack so truncation is detectable (see serveUDP).
+// payload) with slack so truncation is detectable (see readUDP).
 const udpRecvSize = protocol.HeaderSize + MaxUDPIO + 4096
 
-// udpResponder replies to the datagram's source address.
-type udpResponder struct {
-	srv  *Server
-	pc   *net.UDPConn
-	addr *net.UDPAddr
-	wmu  *sync.Mutex
+// udpPeer replies to one datagram's source address.
+type udpPeer struct {
+	srv *Server
+	to  syscall.Sockaddr
 }
 
-func (u udpResponder) maxIO() uint32 { return MaxUDPIO }
-
-// send frames hdr+payload into a pooled arena and writes one datagram.
-// It owns lease (the payload's pooled backing, when non-nil) and releases
-// it once the datagram is on the wire — or dropped; UDP is best-effort,
-// so a failed WriteToUDP is not a teardown event.
-func (u udpResponder) send(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) {
+// send frames hdr+payload into a pooled arena and writes one datagram. A
+// failed send is not a teardown event: UDP is best-effort.
+func (u *udpPeer) send(_ *pcore, hdr protocol.Header, payload []byte, lease *bufpool.Buf) {
 	defer bufpool.ReleaseIf(lease)
 	if hdr.Epoch == 0 {
 		hdr.Epoch = u.srv.ClusterEpoch()
 	}
 	frame := bufpool.Get(protocol.HeaderSize + len(payload))
 	defer frame.Release()
-	b, err := protocol.AppendMessage(frame.Bytes()[:0], hdr, payload)
+	b, err := protocol.AppendMessage(frame.Bytes()[:0], &hdr, payload)
 	if err != nil {
 		return
 	}
-	u.wmu.Lock()
-	u.pc.WriteToUDP(b, u.addr)
-	u.wmu.Unlock()
+	// The read lock keeps Close from closing (and the kernel from reusing)
+	// the descriptor under a late reply.
+	u.srv.udpMu.RLock()
+	if u.srv.udpFD >= 0 {
+		syscall.Sendto(u.srv.udpFD, b, 0, u.to)
+	}
+	u.srv.udpMu.RUnlock()
 }
 
-// serveUDP reads datagrams until the socket closes.
-func (s *Server) serveUDP(pc *net.UDPConn) {
-	defer s.wg.Done()
-	var wmu sync.Mutex
-	var msg protocol.Message
-	for {
-		// One pooled lease per datagram; ReadFromUDP silently truncates
-		// anything larger than the buffer, which the loop detects below by
-		// a completely full buffer. The parsed message's payload aliases
-		// the lease, so it stays alive across dispatch and is released
-		// right after (dispatch retains it when the write path needs it
-		// longer).
+// readUDP serves a batch of datagrams on core 0, each in a pooled lease
+// that dispatch borrows. The kernel silently truncates a datagram larger
+// than the buffer, which a completely full buffer reveals.
+func (pc *pcore) readUDP() {
+	s := pc.srv
+	for i := 0; i < wireBatchMsgs; i++ {
 		lease := bufpool.Get(udpRecvSize)
 		buf := lease.Bytes()
-		n, addr, err := pc.ReadFromUDP(buf)
+		n, from, err := syscall.Recvfrom(s.udpFD, buf, 0)
 		if err != nil {
 			lease.Release()
-			select {
-			case <-s.done:
-			default:
-			}
-			return
+			return // drained (level-triggered epoll calls again if not)
 		}
-		rsp := udpResponder{srv: s, pc: pc, addr: addr, wmu: &wmu}
+		peer := &udpPeer{srv: s, to: from}
 		if n == len(buf) {
-			// The datagram filled the receive buffer: it was (almost
-			// certainly) truncated by the kernel. Parsing the remainder
-			// would read garbage as payload — reply with a typed protocol
-			// error instead, echoing the header when it is intact.
+			// Parsing the remainder would read garbage as payload: reply
+			// with a typed error, echoing the header when it is intact.
 			s.m.rejected.Inc()
 			var hdr protocol.Header
-			if err := hdr.Unmarshal(buf[:protocol.HeaderSize]); err == nil {
-				reject(rsp, &hdr, protocol.StatusTruncated)
+			if hdr.Unmarshal(buf[:protocol.HeaderSize]) == nil {
+				reject(pc, peer, &hdr, protocol.StatusTruncated)
 			}
-			lease.Release()
-			continue
-		}
-		if err := msg.UnmarshalFrame(buf[:n]); err != nil {
-			lease.Release()
-			continue // malformed datagram: drop, as a NIC would a bad frame
-		}
-		s.dispatch(rsp, &msg, lease)
+		} else if pc.msg.UnmarshalFrame(buf[:n]) == nil {
+			pc.dispatch(peer, &pc.msg, lease)
+		} // else malformed: drop, as a NIC would a bad frame
 		lease.Release()
 	}
 }

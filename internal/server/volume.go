@@ -8,11 +8,10 @@ import (
 )
 
 // Volume control plane (DESIGN.md §18): the OpVol* opcodes are rare
-// management operations handled inline on the dispatch goroutine — they
-// never touch the QoS scheduler. Snapshot and clone are O(1) map freezes,
-// so even "inline" they cost microseconds; the diff stream is the only
-// long-running piece and it runs on its own goroutine, self-paced by
-// receiver acks so it stays best-effort.
+// management operations run on the control goroutine while their
+// connection waits — they never touch the QoS scheduler and never hold up
+// a core. The diff stream is the only long-running piece and it runs on
+// its own goroutine, self-paced by receiver acks so it stays best-effort.
 
 // volStatus maps volume-manager failures onto wire statuses.
 func volStatus(err error) protocol.Status {
@@ -23,119 +22,80 @@ func volStatus(err error) protocol.Status {
 		return protocol.StatusNoCapacity
 	case volume.ErrNotFound:
 		return protocol.StatusNoTenant
-	case volume.ErrExists, volume.ErrRange:
-		return protocol.StatusBadRequest
-	case volume.ErrDead:
-		return protocol.StatusBadRequest
-	default:
-		return protocol.StatusBadRequest
 	}
+	return protocol.StatusBadRequest
 }
 
-// handleVolOp serves the inline volume-management opcodes.
+// volEvent counts a volume lifecycle operation and journals it.
+func (s *Server) volEvent(format string, args ...any) {
+	s.m.volOps.Inc()
+	s.m.journal.Record(obs.EvVolume, s.cfg.NodeName, -1, format, args...)
+}
+
+// handleVolOp serves the volume-management opcodes.
 func (s *Server) handleVolOp(rsp responder, hdr *protocol.Header, payload []byte) {
-	resp := protocol.Header{
-		Opcode: hdr.Opcode,
-		Flags:  protocol.FlagResponse,
-		Cookie: hdr.Cookie,
-	}
+	resp := protocol.Header{Opcode: hdr.Opcode, Flags: protocol.FlagResponse, Cookie: hdr.Cookie}
+	var pay []byte
+	defer func() { rsp.send(nil, resp, pay, nil) }()
+	var req protocol.VolumeReq
 	if s.vols == nil {
 		resp.Status = protocol.StatusBadRequest
-		rsp.send(&resp, nil, nil)
 		return
 	}
-	// Volume DDL mutates state shared with the replica set: fence it like
-	// a write so a deposed primary or an un-promoted backup refuses.
 	if hdr.Opcode != protocol.OpVolList {
-		if st := s.writeAllowed(hdr.Epoch); st != protocol.StatusOK {
+		// Volume DDL mutates state shared with the replica set: fence it
+		// like a write so a deposed primary or an un-promoted backup refuses.
+		if resp.Status = s.writeAllowed(hdr.Epoch); resp.Status != protocol.StatusOK {
 			s.m.staleRejects.Inc()
-			resp.Status = st
-			rsp.send(&resp, nil, nil)
 			return
 		}
-	}
-	var req protocol.VolumeReq
-	if hdr.Opcode != protocol.OpVolList {
-		if err := req.Unmarshal(payload); err != nil {
+		if req.Unmarshal(payload) != nil {
 			resp.Status = protocol.StatusBadRequest
-			rsp.send(&resp, nil, nil)
 			return
 		}
 	}
+	var err error
 	switch hdr.Opcode {
 	case protocol.OpVolCreate:
-		v, err := s.vols.Create(req.Name, req.Blocks)
-		resp.Status = volStatus(err)
-		if err == nil {
+		var v *volume.Volume
+		if v, err = s.vols.Create(req.Name, req.Blocks); err == nil {
 			resp.Handle = v.Handle()
-			s.m.volOps.Inc()
-			s.m.journal.Record(obsVolEv, s.cfg.NodeName, -1,
-				"volume %s created: %d blocks, handle %d", req.Name, req.Blocks, v.Handle())
+			s.volEvent("volume %s created: %d blocks, handle %d", req.Name, req.Blocks, v.Handle())
 		}
-		rsp.send(&resp, nil, nil)
 
 	case protocol.OpVolDelete:
-		freed, err := s.vols.Delete(req.Name, req.Gen)
-		resp.Status = volStatus(err)
+		var freed int
+		freed, err = s.vols.Delete(req.Name, req.Gen)
 		resp.Count = uint32(freed)
 		if err == nil {
-			s.m.volOps.Inc()
-			// Reclaimed thin extents are dead flash: pass the discard down
-			// so a trim-capable device drops them from its erase units.
-			s.m.journal.Record(obsVolEv, s.cfg.NodeName, -1,
-				"volume %s gen %d deleted: %d extents freed", req.Name, req.Gen, freed)
+			s.volEvent("volume %s gen %d deleted: %d extents freed", req.Name, req.Gen, freed)
 		}
-		rsp.send(&resp, nil, nil)
 
 	case protocol.OpVolSnapshot:
-		gen, err := s.vols.Snapshot(req.Name)
-		resp.Status = volStatus(err)
-		// Generations are 64-bit: they ride the payload, not the 32-bit
-		// Header.LBA, so they can never silently wrap on the wire.
-		var pay []byte
-		if err == nil {
+		var gen uint64
+		if gen, err = s.vols.Snapshot(req.Name); err == nil {
+			// Generations are 64-bit: they ride the payload, not the 32-bit
+			// Header.LBA, so they can never silently wrap on the wire.
 			pay = protocol.MarshalGen(gen)
-			s.m.volOps.Inc()
-			s.m.journal.Record(obsVolEv, s.cfg.NodeName, -1,
-				"volume %s snapshotted at gen %d", req.Name, gen)
+			s.volEvent("volume %s snapshotted at gen %d", req.Name, gen)
 		}
-		rsp.send(&resp, pay, nil)
 
 	case protocol.OpVolClone:
-		v, err := s.vols.Clone(req.Source, req.Gen, req.Name)
-		resp.Status = volStatus(err)
-		if err == nil {
+		var v *volume.Volume
+		if v, err = s.vols.Clone(req.Source, req.Gen, req.Name); err == nil {
 			resp.Handle = v.Handle()
-			s.m.volOps.Inc()
-			s.m.journal.Record(obsVolEv, s.cfg.NodeName, -1,
-				"volume %s cloned from %s@%d, handle %d", req.Name, req.Source, req.Gen, v.Handle())
+			s.volEvent("volume %s cloned from %s@%d, handle %d", req.Name, req.Source, req.Gen, v.Handle())
 		}
-		rsp.send(&resp, nil, nil)
 
 	case protocol.OpVolDiff:
-		v, ok := s.vols.Get(req.Name)
-		if !ok {
-			resp.Status = protocol.StatusNoTenant
-			rsp.send(&resp, nil, nil)
-			return
+		var d protocol.VolDiff
+		if _, d, err = s.volDiff(&req); err == nil {
+			resp.Count = uint32(len(d.Extents))
+			pay = d.Marshal()
 		}
-		genB := req.GenB
-		if genB == 0 {
-			genB = v.Gen()
-		}
-		exts, err := v.Diff(req.GenA, genB)
-		if err != nil {
-			resp.Status = volStatus(err)
-			rsp.send(&resp, nil, nil)
-			return
-		}
-		d := protocol.VolDiff{Gen: genB, ExtentBlocks: v.ExtentBlocks(), Extents: exts}
-		resp.Count = uint32(len(exts))
-		rsp.send(&resp, d.Marshal(), nil)
 
 	case protocol.OpVolList:
 		infos := s.vols.List()
-		var b []byte
 		for _, in := range infos {
 			vi := protocol.VolumeInfo{
 				Name:         in.Name,
@@ -146,65 +106,58 @@ func (s *Server) handleVolOp(rsp responder, hdr *protocol.Header, payload []byte
 				ExtentBlocks: s.vols.ExtentBlocks(),
 				Snaps:        in.Snaps,
 			}
-			b = vi.AppendMarshal(b)
+			pay = vi.AppendMarshal(pay)
 		}
 		resp.Count = uint32(len(infos))
-		rsp.send(&resp, b, nil)
 	}
+	resp.Status = volStatus(err)
 }
 
-// obsVolEv is the journal event class for volume operations.
-const obsVolEv = obs.EvVolume
+// volDiff resolves a diff request: the extents written in (GenA, GenB],
+// GenB 0 meaning the live generation.
+func (s *Server) volDiff(req *protocol.VolumeReq) (*volume.Volume, protocol.VolDiff, error) {
+	v, ok := s.vols.Get(req.Name)
+	if !ok {
+		return nil, protocol.VolDiff{}, volume.ErrNotFound
+	}
+	d := protocol.VolDiff{Gen: req.GenB, ExtentBlocks: v.ExtentBlocks()}
+	if d.Gen == 0 {
+		d.Gen = v.Gen()
+	}
+	var err error
+	d.Extents, err = v.Diff(req.GenA, d.Gen)
+	return v, d, err
+}
 
 // handleVolStream starts a snapshot-diff stream on this connection: the
-// OK response (Count = extents, LBA = resolved upper generation) goes
-// first in the connection FIFO, then the stream goroutine ships each
+// OK response (Count = extents, payload = resolved upper generation) goes
+// first in the connection's outbox, then the stream goroutine ships each
 // diff extent as self-paced OpVolStream chunks, ending with the
 // zero-length marker. One stream per connection at a time.
 func (s *Server) handleVolStream(rsp responder, hdr *protocol.Header, payload []byte) {
-	resp := protocol.Header{
-		Opcode: protocol.OpVolStream,
-		Flags:  protocol.FlagResponse,
-		Handle: hdr.Handle,
-		Cookie: hdr.Cookie,
-	}
+	resp := protocol.Header{Opcode: protocol.OpVolStream, Flags: protocol.FlagResponse, Handle: hdr.Handle, Cookie: hdr.Cookie}
 	sc, isTCP := rsp.(*srvConn)
 	var req protocol.VolumeReq
 	if s.vols == nil || !isTCP || req.Unmarshal(payload) != nil {
-		resp.Status = protocol.StatusBadRequest
-		rsp.send(&resp, nil, nil)
+		reject(nil, rsp, hdr, protocol.StatusBadRequest)
 		return
 	}
-	v, ok := s.vols.Get(req.Name)
-	if !ok {
-		resp.Status = protocol.StatusNoTenant
-		rsp.send(&resp, nil, nil)
-		return
-	}
-	genB := req.GenB
-	if genB == 0 {
-		genB = v.Gen()
-	}
-	exts, err := v.Diff(req.GenA, genB)
+	v, d, err := s.volDiff(&req)
 	if err != nil {
-		resp.Status = volStatus(err)
-		rsp.send(&resp, nil, nil)
+		reject(nil, rsp, hdr, volStatus(err))
 		return
 	}
 	extBytes := int64(v.ExtentBlocks()) * protocol.BlockSize
 	logical := v.LogicalBytes()
-	ranges := make([]cluster.StreamRange, 0, len(exts))
-	for _, e := range exts {
+	ranges := make([]cluster.StreamRange, 0, len(d.Extents))
+	for _, e := range d.Extents {
 		// Coalesce adjacent extents into one range so chunking is not
 		// bounded by the extent size. The tail extent of a volume whose
 		// size is not an extent multiple is clamped to the logical size:
 		// ReadAtGen refuses reads past LogicalBytes, so an unclamped
 		// range would abort the stream mid-flight.
 		off := int64(e) * extBytes
-		l := extBytes
-		if off+l > logical {
-			l = logical - off
-		}
+		l := min(extBytes, logical-off)
 		if l <= 0 {
 			continue
 		}
@@ -217,35 +170,28 @@ func (s *Server) handleVolStream(rsp responder, hdr *protocol.Header, payload []
 	// One *running* stream per connection, and no stream on a connection
 	// that carries a replication session. A finished stream still in the
 	// slot (the receiver reads the end marker before the sender goroutine
-	// unwinds) counts as free. Only this connection's reader attaches, so
-	// check-then-attach cannot lose to another attach.
+	// unwinds) counts as free. Only the control goroutine attaches streams,
+	// so check-then-attach cannot lose to another attach.
 	sc.amu.Lock()
 	prev, isStream := sc.att.(*cluster.Stream)
 	busy := sc.att != nil && !(isStream && prev.Done())
 	sc.amu.Unlock()
 	if busy {
-		resp.Status = protocol.StatusBadRequest
-		rsp.send(&resp, nil, nil)
+		reject(nil, rsp, hdr, protocol.StatusBadRequest)
 		return
 	}
 	vs := cluster.NewStream(cluster.StreamConfig{
-		Op:     protocol.OpVolStream,
-		Handle: hdr.Handle,
-		Epoch:  s.ClusterEpoch,
-		ReadAt: func(p []byte, off int64) error { return v.ReadAtGen(p, off, genB) },
-		Sender: sc,
-		OnChunk: func(n int) {
-			s.m.volStreamBytes.Add(uint64(n))
-		},
+		Op:      protocol.OpVolStream,
+		Handle:  hdr.Handle,
+		Epoch:   s.ClusterEpoch,
+		ReadAt:  func(p []byte, off int64) error { return v.ReadAtGen(p, off, d.Gen) },
+		Sender:  sc,
+		OnChunk: func(n int) { s.m.volStreamBytes.Add(uint64(n)) },
 	})
 	sc.attach(vs)
-	resp.Count = uint32(len(exts))
-	// FIFO: the receiver reads this OK (payload = resolved generation,
-	// 64-bit so it rides the payload) before the first chunk.
-	rsp.send(&resp, protocol.MarshalGen(genB), nil)
-	s.m.volOps.Inc()
-	s.m.journal.Record(obsVolEv, s.cfg.NodeName, -1,
-		"volume %s diff stream (%d,%d]: %d extents", req.Name, req.GenA, genB, len(exts))
+	resp.Count = uint32(len(d.Extents))
+	rsp.send(nil, resp, protocol.MarshalGen(d.Gen), nil)
+	s.volEvent("volume %s diff stream (%d,%d]: %d extents", req.Name, req.GenA, d.Gen, len(d.Extents))
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -257,42 +203,28 @@ func (s *Server) handleVolStream(rsp responder, hdr *protocol.Header, payload []
 // fully covered thin extents (chain-inherited data becomes an explicit
 // hole); raw tenants get an advisory no-op OK — the real backends have
 // no discard primitive, and the flash simulator's trim accounting rides
-// reflex-calibrate, not this path. Inline like the other metadata ops:
-// a trim moves no payload and frees extents under short locks.
-func (s *Server) handleTrim(rsp responder, hdr *protocol.Header) {
-	resp := protocol.Header{
-		Opcode: protocol.OpTrim,
-		Flags:  protocol.FlagResponse,
-		Handle: hdr.Handle,
-		Cookie: hdr.Cookie,
-		LBA:    hdr.LBA,
-	}
+// reflex-calibrate, not this path. Inline on the core: a trim moves no
+// payload and frees extents under short locks.
+func (s *Server) handleTrim(pc *pcore, rsp responder, hdr *protocol.Header) {
 	// A trim mutates the extent map: fence it like a write.
 	if st := s.writeAllowed(hdr.Epoch); st != protocol.StatusOK {
 		s.m.staleRejects.Inc()
-		resp.Status = st
-		rsp.send(&resp, nil, nil)
+		reject(pc, rsp, hdr, st)
 		return
 	}
 	ten, ok := s.lookup(hdr.Handle)
 	if !ok {
-		resp.Status = protocol.StatusNoTenant
-		rsp.send(&resp, nil, nil)
+		reject(pc, rsp, hdr, protocol.StatusNoTenant)
 		return
 	}
-	aclSize := s.devices[ten.device].backend.Size()
-	if ten.vol != nil {
-		aclSize = ten.vol.LogicalBytes()
-	}
-	if st := checkACL(&ten.reg, hdr, aclSize); st != protocol.StatusOK {
-		resp.Status = st
-		rsp.send(&resp, nil, nil)
+	if st := checkACL(&ten.reg, hdr, s.aclSize(ten)); st != protocol.StatusOK {
+		reject(pc, rsp, hdr, st)
 		return
 	}
+	resp := protocol.Header{Opcode: protocol.OpTrim, Flags: protocol.FlagResponse, Handle: hdr.Handle, Cookie: hdr.Cookie, LBA: hdr.LBA}
 	if ten.vol != nil {
-		freed := ten.vol.Trim(int64(hdr.LBA)*protocol.BlockSize, int64(hdr.Count))
-		resp.Count = uint32(freed)
+		resp.Count = uint32(ten.vol.Trim(int64(hdr.LBA)*protocol.BlockSize, int64(hdr.Count)))
 	}
 	s.m.trims.Inc()
-	rsp.send(&resp, nil, nil)
+	rsp.send(pc, resp, nil, nil)
 }
